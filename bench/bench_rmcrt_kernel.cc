@@ -56,7 +56,8 @@ struct KernelFixture {
     initializeProperties(grid->fineLevel(), burnsChriston(), abskg, sig, ct);
   }
 
-  Tracer tracer(int rays, bool packed = g_packedLayout) const {
+  Tracer tracer(int rays, bool packed = g_packedLayout,
+                bool simd = TraceConfig{}.useSimd) const {
     TraceLevel tl{LevelGeom::from(grid->fineLevel()),
                   RadiationFieldsView{FieldView<double>::fromHost(abskg),
                                       FieldView<double>::fromHost(sig),
@@ -65,6 +66,7 @@ struct KernelFixture {
     TraceConfig cfg;
     cfg.nDivQRays = rays;
     cfg.usePackedFields = packed;
+    cfg.useSimd = simd;
     return Tracer({tl}, WallProperties{0.0, 1.0}, cfg);
   }
 };
@@ -158,7 +160,8 @@ BENCHMARK(BM_BoundaryFlux);
 /// thread: the full divQ solve, and a segment microbench that times a
 /// fixed deterministic ray bundle through Tracer::traceRay — the march
 /// loop with everything but cell crossings stripped away. Both layouts
-/// must agree bitwise.
+/// must agree bitwise, which holds on the scalar march: both sides pin
+/// useSimd off (the legacy layout never takes the packet march).
 struct LayoutReport {
   double packedMsegPerS = 0.0;
   double unpackedMsegPerS = 0.0;
@@ -192,8 +195,8 @@ LayoutReport measureLayoutAB(bool smoke) {
   const int rays = smoke ? 4 : 16;
   const int repeats = smoke ? 3 : 5;
   KernelFixture fx(n);
-  Tracer packed = fx.tracer(rays, /*packed=*/true);
-  Tracer legacy = fx.tracer(rays, /*packed=*/false);
+  Tracer packed = fx.tracer(rays, /*packed=*/true, /*simd=*/false);
+  Tracer legacy = fx.tracer(rays, /*packed=*/false, /*simd=*/false);
   const CellRange cells = fx.grid->fineLevel().cells();
   LayoutReport rep;
 

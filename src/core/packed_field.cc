@@ -16,6 +16,7 @@ void PackedLevelField::pack(const RadiationFieldsView& fields) {
   m_cells.assign(static_cast<std::size_t>(std::max<std::int64_t>(
                      m_window.volume(), 0)),
                  PackedCell{});
+  m_hasWalls = false;
   repack(fields, m_window);
 }
 
@@ -32,6 +33,7 @@ void PackedLevelField::repack(const RadiationFieldsView& fields,
     rec.cellType = hasCellType
                        ? static_cast<std::uint32_t>(fields.cellType[c])
                        : PackedCell::kFlow;
+    m_hasWalls = m_hasWalls || rec.cellType == PackedCell::kWall;
   }
 }
 

@@ -63,22 +63,36 @@ static_assert(std::is_trivially_copyable_v<PackedCell>,
 class PackedFieldView {
  public:
   PackedFieldView() = default;
-  PackedFieldView(const PackedCell* data, const CellRange& window)
-      : m_data(data), m_window(window) {
+  /// \p hasWalls says whether any record in the window may be a wall
+  /// cell; it defaults to the conservative true (see hasWalls()).
+  PackedFieldView(const PackedCell* data, const CellRange& window,
+                  bool hasWalls = true)
+      : m_data(data), m_window(window), m_hasWalls(hasWalls) {
     const IntVector sz = window.size();
     m_stride[0] = 1;
     m_stride[1] = sz.x();
     m_stride[2] = static_cast<std::int64_t>(sz.x()) * sz.y();
   }
 
-  static PackedFieldView fromDevice(const gpu::DeviceVar& dv) {
+  /// View over device-resident records. Pass the wall flag of the host
+  /// records the upload came from (PackedLevelField::hasWalls()); the
+  /// device copy is never scanned.
+  static PackedFieldView fromDevice(const gpu::DeviceVar& dv,
+                                    bool hasWalls = true) {
     assert(dv.elemSize == sizeof(PackedCell));
     return PackedFieldView(static_cast<const PackedCell*>(dv.devPtr),
-                           dv.window);
+                           dv.window, hasWalls);
   }
 
   bool valid() const { return m_data != nullptr; }
   const CellRange& window() const { return m_window; }
+
+  /// False only when no record in the window is a wall cell — computed
+  /// once per record set when the records are fused, so the packet march
+  /// can skip its per-crossing cellType gather on wall-free levels
+  /// without rescanning the records on every Tracer construction. True
+  /// is always safe: the gather then finds the (absent) walls itself.
+  bool hasWalls() const { return m_hasWalls; }
 
   /// Linear element offset of cell \p c (z-major, x fastest — the same
   /// linearization as FieldView/Array3).
@@ -127,6 +141,7 @@ class PackedFieldView {
   const PackedCell* m_data = nullptr;
   CellRange m_window;
   std::int64_t m_stride[3] = {0, 0, 0};
+  bool m_hasWalls = true;
 };
 
 /// Owning host-side packed copy of one level's radiation properties.
@@ -149,13 +164,17 @@ class PackedLevelField {
   const CellRange& window() const { return m_window; }
   const PackedCell* data() const { return m_cells.data(); }
   std::size_t sizeBytes() const { return m_cells.size() * sizeof(PackedCell); }
+  /// Whether any record fused since the last full pack was a wall cell
+  /// (a repack can only set it, so it stays conservative).
+  bool hasWalls() const { return m_hasWalls; }
   PackedFieldView view() const {
-    return PackedFieldView(m_cells.data(), m_window);
+    return PackedFieldView(m_cells.data(), m_window, m_hasWalls);
   }
 
  private:
   std::vector<PackedCell> m_cells;
   CellRange m_window;
+  bool m_hasWalls = false;
 };
 
 /// Persistent packed copy of one level for pipelines that rebuild their

@@ -27,6 +27,10 @@ struct RadiationProblem {
   /// walls emit zero).
   double wallSigmaT4OverPi = 0.0;
   double wallEmissivity = 1.0;
+  /// Intruding wall geometry: a cell whose center it maps to true is a
+  /// wall cell, which ends every ray reaching it and adds its own
+  /// sigmaT4OverPi times wallEmissivity. Empty means no interior walls.
+  std::function<bool(const Vector&)> isWall;
 };
 
 /// The Burns & Christon benchmark: domain [0,1]^3, cold black walls,
@@ -99,6 +103,9 @@ inline void initializeProperties(const grid::Level& level,
   for (const auto& c : sigmaT4OverPi.window())
     sigmaT4OverPi[c] = prob.sigmaT4OverPi(level.cellCenter(c));
   cellType.fill(grid::CellType::Flow);
+  if (prob.isWall)
+    for (const auto& c : cellType.window())
+      if (prob.isWall(level.cellCenter(c))) cellType[c] = grid::CellType::Wall;
 }
 
 }  // namespace rmcrt::core

@@ -9,7 +9,9 @@
 /// mounted in a boiler wall measures. Monte Carlo: directions sampled
 /// uniformly over the spherical cap, flux = mean(I) * solid angle.
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "core/ray_tracer.h"
 
@@ -51,16 +53,22 @@ inline RadiometerReading evaluateRadiometer(const Tracer& tracer,
   RadiometerReading out;
   out.solidAngle = 2.0 * M_PI * (1.0 - cosMax);
 
-  double sum = 0.0;
+  // The whole fan goes through one traceRays call (the packet march when
+  // active); per-ray intensities are reduced in ray order.
+  const std::size_t n = static_cast<std::size_t>(std::max(spec.nRays, 0));
+  const std::vector<Vector> origins(n, spec.position);
+  std::vector<Vector> dirs(n);
   Rng rng(tracer.config().seed ^ 0x52414449ull);  // "RADI"
-  for (int r = 0; r < spec.nRays; ++r) {
+  for (Vector& dir : dirs) {
     const double cosT = cosMax + (1.0 - cosMax) * rng.nextDouble();
     const double sinT = std::sqrt(std::max(0.0, 1.0 - cosT * cosT));
     const double phi = 2.0 * M_PI * rng.nextDouble();
-    const Vector dir = u * (sinT * std::cos(phi)) +
-                       v * (sinT * std::sin(phi)) + w * cosT;
-    sum += tracer.traceRay(spec.position, dir);
+    dir = u * (sinT * std::cos(phi)) + v * (sinT * std::sin(phi)) + w * cosT;
   }
+  std::vector<double> intensity(n);
+  tracer.traceRays(spec.nRays, origins.data(), dirs.data(), intensity.data());
+  double sum = 0.0;
+  for (const double I : intensity) sum += I;
   out.meanIntensity = sum / spec.nRays;
   out.flux = out.meanIntensity * out.solidAngle;
   return out;

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdlib>
 #include <stdexcept>
+#include <utility>
 
 #include "core/spectral.h"
 #include "util/metrics.h"
@@ -39,6 +40,42 @@ MetricsCounter& tracerSegmentsSavedCounter() {
   static MetricsCounter& c =
       MetricsRegistry::global().counter("tracer.segments_saved");
   return c;
+}
+
+/// A level-0 cell's absorption coefficient and emission, from the packed
+/// records when the level carries them (bitwise the same values).
+struct CellSource {
+  double abskg;
+  double sigmaT4OverPi;
+};
+
+CellSource sourceOf(const TraceLevel& L, const IntVector& c) {
+  if (L.packed.valid()) {
+    const PackedCell& rec = L.packed[c];
+    return {rec.abskg, rec.sigmaT4OverPi};
+  }
+  return {L.fields.abskg[c], L.fields.sigmaT4OverPi[c]};
+}
+
+/// divQ = 4 pi kappa (sigmaT4/pi - mean incoming intensity), with the
+/// band scale on kappa (paper Eq. 2).
+double divQOf(const CellSource& src, double kappaScale, double meanI) {
+  return 4.0 * M_PI * (src.abskg * kappaScale) * (src.sigmaT4OverPi - meanI);
+}
+
+/// Per-thread scratch behind the tile ray streams (Tracer::traceTileRays):
+/// Tracer::kStreamRays entries, allocated once and reused by every later
+/// tile on the same thread, so steady-state streaming allocates nothing
+/// and its footprint is bounded whatever the tile size.
+struct StreamScratch {
+  std::vector<Vector> origins, dirs;
+  std::vector<double> intensity;
+  std::vector<std::size_t> cellIndex;  ///< stream slot -> cell of the tile
+};
+
+StreamScratch& streamScratch() {
+  static thread_local StreamScratch s;
+  return s;
 }
 
 }  // namespace
@@ -146,17 +183,6 @@ Tracer::Tracer(std::vector<TraceLevel> levels, const WallProperties& walls,
     if (L.packed.valid() || !L.fields.abskg.valid()) continue;
     m_ownedPacked.emplace_back(L.fields);
     L.packed = m_ownedPacked.back().view();
-  }
-  if (m_cfg.useSimd && !m_levels.empty() && m_levels.front().packed.valid()) {
-    // One pass over level 0's records so the packet march can skip the
-    // cellType gather entirely in wall-free domains.
-    const PackedFieldView& pf = m_levels.front().packed;
-    const std::int64_t nRec = pf.window().volume();
-    const PackedCell* rec = pf.data();
-    bool walls = false;
-    for (std::int64_t i = 0; i < nRec && !walls; ++i)
-      walls = rec[i].cellType == PackedCell::kWall;
-    m_level0HasWalls = walls;
   }
 }
 
@@ -383,14 +409,6 @@ double Tracer::traceRay(Vector origin, Vector dir,
   return sumI;
 }
 
-void Tracer::finishRayCoarse(Vector pos, const Vector& dir, double& sumI,
-                             double& transmissivity,
-                             std::uint64_t& segments) const {
-  for (std::size_t li = 1; li < m_levels.size(); ++li) {
-    if (marchLevel(li, pos, dir, sumI, transmissivity, segments)) break;
-  }
-}
-
 void Tracer::traceRaysScalar(int n, const Vector* origins,
                              const Vector* dirs, double* out,
                              std::uint64_t& segments) const {
@@ -399,14 +417,18 @@ void Tracer::traceRaysScalar(int n, const Vector* origins,
 }
 
 void Tracer::traceRays(int n, const Vector* origins, const Vector* dirs,
-                       double* out) const {
+                       double* out, std::uint64_t& segments) const {
   if (n <= 0) return;
-  std::uint64_t segments = 0;
-  if (simdActive()) {
+  if (simdActive())
     traceRaysSimd(n, origins, dirs, out, segments);
-  } else {
+  else
     traceRaysScalar(n, origins, dirs, out, segments);
-  }
+}
+
+void Tracer::traceRays(int n, const Vector* origins, const Vector* dirs,
+                       double* out) const {
+  std::uint64_t segments = 0;
+  traceRays(n, origins, dirs, out, segments);
   flushSegments(segments);
 }
 
@@ -415,11 +437,10 @@ void Tracer::flushSegments(std::uint64_t n) const {
   tracerSegmentsCounter().add(n);
 }
 
-double Tracer::meanIncomingIntensity(const IntVector& cell,
-                                     std::uint64_t& segments) const {
+void Tracer::generateRays(const IntVector& cell, int rBegin, int rEnd,
+                          Vector* origins, Vector* dirs) const {
   const LevelGeom& g = m_levels.front().geom;
-  double sum = 0.0;
-  for (int r = 0; r < m_cfg.nDivQRays; ++r) {
+  for (int r = rBegin; r < rEnd; ++r) {
     Rng rng(m_cfg.seed, cell, static_cast<std::uint32_t>(r));
     Vector origin;
     if (m_cfg.jitterRayOrigin) {
@@ -430,59 +451,60 @@ double Tracer::meanIncomingIntensity(const IntVector& cell,
     } else {
       origin = g.cellCenter(cell);
     }
-    const Vector dir = isotropicDirection(rng);
-    sum += traceRay(origin, dir, 0, segments);
+    *origins++ = origin;
+    *dirs++ = isotropicDirection(rng);
   }
-  return sum / static_cast<double>(m_cfg.nDivQRays);
 }
 
-double Tracer::meanIncomingIntensitySimd(const IntVector& cell,
-                                         std::vector<Vector>& origins,
-                                         std::vector<Vector>& dirs,
-                                         std::vector<double>& intensities,
-                                         std::uint64_t& segments) const {
-  const LevelGeom& g = m_levels.front().geom;
-  const int n = m_cfg.nDivQRays;
-  origins.resize(static_cast<std::size_t>(n));
-  dirs.resize(static_cast<std::size_t>(n));
-  intensities.resize(static_cast<std::size_t>(n));
-  // Identical RNG consumption to the scalar loop: the ray geometry is
-  // bitwise the same, only the march arithmetic differs.
-  for (int r = 0; r < n; ++r) {
-    Rng rng(m_cfg.seed, cell, static_cast<std::uint32_t>(r));
-    Vector origin;
-    if (m_cfg.jitterRayOrigin) {
-      const Vector lo = g.cellLowCorner(cell);
-      origin = lo + Vector(rng.nextDouble(), rng.nextDouble(),
-                           rng.nextDouble()) *
-                        g.dx;
-    } else {
-      origin = g.cellCenter(cell);
-    }
-    origins[static_cast<std::size_t>(r)] = origin;
-    dirs[static_cast<std::size_t>(r)] = isotropicDirection(rng);
+template <class RayRange, class Consume>
+void Tracer::traceTileRays(const CellRange& tile, RayRange rays,
+                           Consume consume, std::uint64_t& segments) const {
+  StreamScratch& s = streamScratch();
+  constexpr std::size_t cap = kStreamRays;
+  if (s.origins.empty()) {
+    s.origins.resize(cap);
+    s.dirs.resize(cap);
+    s.intensity.resize(cap);
+    s.cellIndex.resize(cap);
   }
-  traceRaysSimd(n, origins.data(), dirs.data(), intensities.data(),
-                segments);
-  // Sum in ray order — the same reduction order as the scalar loop.
-  double sum = 0.0;
-  for (int r = 0; r < n; ++r) sum += intensities[static_cast<std::size_t>(r)];
-  return sum / static_cast<double>(m_cfg.nDivQRays);
+  std::size_t n = 0;
+  const auto flush = [&] {
+    traceRays(static_cast<int>(n), s.origins.data(), s.dirs.data(),
+              s.intensity.data(), segments);
+    for (std::size_t k = 0; k < n; ++k)
+      consume(s.cellIndex[k], s.intensity[k]);
+    n = 0;
+  };
+  std::size_t i = 0;
+  for (const IntVector& c : tile) {
+    const auto [rBegin, rEnd] = rays(i);
+    // A cell's rays may straddle two streams: consume() still sees them
+    // in ray order, so the per-cell sums do not depend on the stream
+    // boundaries.
+    for (int r = rBegin; r < rEnd;) {
+      const int take = static_cast<int>(
+          std::min(static_cast<std::size_t>(rEnd - r), cap - n));
+      generateRays(c, r, r + take, &s.origins[n], &s.dirs[n]);
+      std::fill_n(s.cellIndex.begin() + static_cast<std::ptrdiff_t>(n),
+                  take, i);
+      n += static_cast<std::size_t>(take);
+      r += take;
+      if (n == cap) flush();
+    }
+    ++i;
+  }
+  if (n > 0) flush();
 }
 
 double Tracer::meanIncomingIntensity(const IntVector& cell) const {
   std::uint64_t segments = 0;
-  double meanI;
-  if (simdActive()) {
-    std::vector<Vector> origins, dirs;
-    std::vector<double> intensities;
-    meanI = meanIncomingIntensitySimd(cell, origins, dirs, intensities,
-                                      segments);
-  } else {
-    meanI = meanIncomingIntensity(cell, segments);
-  }
+  double sum = 0.0;
+  traceTileRays(
+      CellRange(cell, cell + IntVector(1)),
+      [this](std::size_t) { return std::pair(0, m_cfg.nDivQRays); },
+      [&sum](std::size_t, double I) { sum += I; }, segments);
   flushSegments(segments);
-  return meanI;
+  return sum / static_cast<double>(m_cfg.nDivQRays);
 }
 
 void Tracer::computeDivQTile(const CellRange& tile,
@@ -492,39 +514,19 @@ void Tracer::computeDivQTile(const CellRange& tile,
     computeDivQTileAdaptive(tile, divQ);
     return;
   }
-  const TraceLevel& L0 = m_levels.front();
-  const double kappaScale = m_cfg.kappaScale;
-  std::uint64_t segments = 0;
-  if (simdActive()) {
-    // Packet path: per-cell ray bundles through marchPacket8. Scratch is
-    // reused across the tile so the march loop performs no allocation
-    // after the first cell.
-    std::vector<Vector> origins, dirs;
-    std::vector<double> intensities;
-    for (const IntVector& c : tile) {
-      const double meanI = meanIncomingIntensitySimd(c, origins, dirs,
-                                                     intensities, segments);
-      const PackedCell& rec = L0.packed[c];
-      divQ[c] = 4.0 * M_PI * (rec.abskg * kappaScale) *
-                (rec.sigmaT4OverPi - meanI);
-    }
-  } else if (L0.packed.valid()) {
-    for (const IntVector& c : tile) {
-      const double meanI = meanIncomingIntensity(c, segments);
-      const PackedCell& rec = L0.packed[c];
-      divQ[c] = 4.0 * M_PI * (rec.abskg * kappaScale) *
-                (rec.sigmaT4OverPi - meanI);
-    }
-  } else {
-    const RadiationFieldsView& f = L0.fields;
-    for (const IntVector& c : tile) {
-      const double meanI = meanIncomingIntensity(c, segments);
-      divQ[c] = 4.0 * M_PI * (f.abskg[c] * kappaScale) *
-                (f.sigmaT4OverPi[c] - meanI);
-    }
-  }
-  flushSegments(segments);
   const std::uint64_t nCells = static_cast<std::uint64_t>(tile.volume());
+  std::uint64_t segments = 0;
+  // One stream over the whole tile; each cell's intensities are summed in
+  // ray order, the reduction order of the fixed fan.
+  std::vector<double> sums(nCells, 0.0);
+  traceTileRays(
+      tile, [this](std::size_t) { return std::pair(0, m_cfg.nDivQRays); },
+      [&sums](std::size_t i, double I) { sums[i] += I; }, segments);
+  std::size_t i = 0;
+  for (const IntVector& c : tile)
+    divQ[c] = divQOf(sourceOf(m_levels.front(), c), m_cfg.kappaScale,
+                     sums[i++] / static_cast<double>(m_cfg.nDivQRays));
+  flushSegments(segments);
   const std::uint64_t rays =
       nCells * static_cast<std::uint64_t>(m_cfg.nDivQRays);
   tracerRaysCounter().add(rays);
@@ -555,55 +557,6 @@ int Tracer::adaptiveBudget(double pilotMean, double pilotStddev,
   return std::max(pilot, static_cast<int>(need));
 }
 
-void Tracer::traceCellRays(const IntVector& cell, int rBegin, int rEnd,
-                           double& sum, std::vector<Vector>& origins,
-                           std::vector<Vector>& dirs,
-                           std::vector<double>& intensities,
-                           std::uint64_t& segments) const {
-  const int n = rEnd - rBegin;
-  if (n <= 0) {
-    intensities.clear();
-    return;
-  }
-  const LevelGeom& g = m_levels.front().geom;
-  origins.resize(static_cast<std::size_t>(n));
-  dirs.resize(static_cast<std::size_t>(n));
-  intensities.resize(static_cast<std::size_t>(n));
-  // Ray r of ANY pass draws from Rng(seed, cell, r) — the same stream
-  // the fixed fan consumes for its ray r, so the pilot is a prefix of
-  // the fixed fan and the top-up continues it exactly.
-  for (int r = rBegin; r < rEnd; ++r) {
-    Rng rng(m_cfg.seed, cell, static_cast<std::uint32_t>(r));
-    Vector origin;
-    if (m_cfg.jitterRayOrigin) {
-      const Vector lo = g.cellLowCorner(cell);
-      origin = lo + Vector(rng.nextDouble(), rng.nextDouble(),
-                           rng.nextDouble()) *
-                        g.dx;
-    } else {
-      origin = g.cellCenter(cell);
-    }
-    const std::size_t i = static_cast<std::size_t>(r - rBegin);
-    origins[i] = origin;
-    dirs[i] = isotropicDirection(rng);
-  }
-  if (simdActive()) {
-    // Variable-size bundles feed the same SetupQueue lane-refill path as
-    // the fixed fan; each lane's intensity depends only on its own ray,
-    // so bundle composition never changes per-ray values.
-    traceRaysSimd(n, origins.data(), dirs.data(), intensities.data(),
-                  segments);
-  } else {
-    for (int i = 0; i < n; ++i)
-      intensities[static_cast<std::size_t>(i)] =
-          traceRay(origins[static_cast<std::size_t>(i)],
-                   dirs[static_cast<std::size_t>(i)], 0, segments);
-  }
-  // Reduce in ray order — concatenated with the pilot pass this is the
-  // fixed fan's exact left-to-right sum.
-  for (int i = 0; i < n; ++i) sum += intensities[static_cast<std::size_t>(i)];
-}
-
 void Tracer::computeDivQTileAdaptive(const CellRange& tile,
                                      MutableFieldView<double> divQ) const {
   const TraceLevel& L0 = m_levels.front();
@@ -611,40 +564,30 @@ void Tracer::computeDivQTileAdaptive(const CellRange& tile,
   const int pilot = std::min(m_cfg.nPilotRays, cap);
 
   struct CellState {
-    double sum = 0.0;  // intensity sum over the rays traced so far
-    int budget = 0;    // total rays granted to this cell
-    double abskg = 0.0;
-    double sigmaT4OverPi = 0.0;
+    double sum = 0.0;    // intensity sum over the rays traced so far
+    RunningStats pilot;  // streaming variance of the pilot rays
+    int budget = 0;      // total rays granted to this cell
   };
-  std::vector<CellState> states;
-  states.reserve(static_cast<std::size_t>(tile.volume()));
-
+  std::vector<CellState> states(static_cast<std::size_t>(tile.volume()));
   std::uint64_t segments = 0;
-  std::vector<Vector> origins, dirs;
-  std::vector<double> intensities;
 
   {
     // Pass 1: pilot fan + streaming variance -> deterministic budget.
-    // The budget is a function of (seed, cell) alone, so any tiling or
-    // thread schedule grants identical budgets.
+    // The budget is a function of (seed, cell) alone, so any tiling,
+    // stream size or thread schedule grants identical budgets.
     RMCRT_TRACE_SPAN("tracer", "adaptive_pilot");
+    traceTileRays(
+        tile, [pilot](std::size_t) { return std::pair(0, pilot); },
+        [&states](std::size_t i, double I) {
+          states[i].sum += I;
+          states[i].pilot.add(I);
+        },
+        segments);
+    std::size_t i = 0;
     for (const IntVector& c : tile) {
-      CellState cs;
-      if (L0.packed.valid()) {
-        const PackedCell& rec = L0.packed[c];
-        cs.abskg = rec.abskg;
-        cs.sigmaT4OverPi = rec.sigmaT4OverPi;
-      } else {
-        cs.abskg = L0.fields.abskg[c];
-        cs.sigmaT4OverPi = L0.fields.sigmaT4OverPi[c];
-      }
-      traceCellRays(c, 0, pilot, cs.sum, origins, dirs, intensities,
-                    segments);
-      RunningStats stats;
-      for (const double I : intensities) stats.add(I);
-      cs.budget = adaptiveBudget(stats.mean(), stats.stddev(),
-                                 cs.sigmaT4OverPi);
-      states.push_back(cs);
+      CellState& cs = states[i++];
+      cs.budget = adaptiveBudget(cs.pilot.mean(), cs.pilot.stddev(),
+                                 sourceOf(L0, c).sigmaT4OverPi);
     }
   }
 
@@ -655,15 +598,18 @@ void Tracer::computeDivQTileAdaptive(const CellRange& tile,
     // appending to the same running sum so a cell whose budget reaches
     // nDivQRays reproduces the fixed fan's reduction bitwise.
     RMCRT_TRACE_SPAN("tracer", "adaptive_topup");
+    traceTileRays(
+        tile,
+        [&states, pilot](std::size_t i) {
+          return std::pair(pilot, std::max(pilot, states[i].budget));
+        },
+        [&states](std::size_t i, double I) { states[i].sum += I; },
+        segments);
     std::size_t i = 0;
     for (const IntVector& c : tile) {
-      CellState& cs = states[i++];
-      if (cs.budget > pilot)
-        traceCellRays(c, pilot, cs.budget, cs.sum, origins, dirs,
-                      intensities, segments);
-      const double meanI = cs.sum / static_cast<double>(cs.budget);
-      divQ[c] = 4.0 * M_PI * (cs.abskg * m_cfg.kappaScale) *
-                (cs.sigmaT4OverPi - meanI);
+      const CellState& cs = states[i++];
+      divQ[c] = divQOf(sourceOf(L0, c), m_cfg.kappaScale,
+                       cs.sum / static_cast<double>(cs.budget));
       raysTraced += static_cast<std::uint64_t>(cs.budget);
       tileMaxBudget =
           std::max(tileMaxBudget, static_cast<std::uint64_t>(cs.budget));
@@ -787,46 +733,51 @@ double Tracer::boundaryFlux(const IntVector& cell, const IntVector& face,
       g.cellCenter(cell) + Vector(face) * (g.dx * 0.5) -
       Vector(face) * (g.dx.minComponent() * 1e-9);
 
-  auto sampleRay = [&](int r, std::uint64_t& segments) {
-    Rng rng(m_cfg.seed ^ 0xF00DULL, cell, static_cast<std::uint32_t>(r));
-    // Jitter the origin uniformly over the face — the cosine-weighted
-    // directions sample the hemisphere, the jitter samples the face area,
-    // matching the divQ estimator. The normal-axis coordinate stays on
-    // the (nudged) face plane.
-    Vector origin = faceCenter;
-    if (m_cfg.jitterRayOrigin) {
-      for (int i = 0; i < 3; ++i)
-        if (face[i] == 0) origin[i] += (rng.nextDouble() - 0.5) * g.dx[i];
+  const std::size_t n = static_cast<std::size_t>(nRays);
+  std::vector<Vector> origins(n), dirs(n);
+  std::vector<double> intensity(n);
+  // Rays [b, e) of the fan, one chunk per worker: ray r draws from its
+  // own Rng stream, so any split of the fan traces the same rays.
+  const int chunks =
+      pool != nullptr ? static_cast<int>(std::min<std::size_t>(pool->size(), n))
+                      : 1;
+  const auto traceChunk = [&](std::int64_t k) {
+    const int b = static_cast<int>(k * nRays / chunks);
+    const int e = static_cast<int>((k + 1) * nRays / chunks);
+    for (int r = b; r < e; ++r) {
+      Rng rng(m_cfg.seed ^ 0xF00DULL, cell, static_cast<std::uint32_t>(r));
+      // Jitter the origin uniformly over the face — the cosine-weighted
+      // directions sample the hemisphere, the jitter samples the face
+      // area, matching the divQ estimator. The normal-axis coordinate
+      // stays on the (nudged) face plane.
+      Vector origin = faceCenter;
+      if (m_cfg.jitterRayOrigin) {
+        for (int i = 0; i < 3; ++i)
+          if (face[i] == 0) origin[i] += (rng.nextDouble() - 0.5) * g.dx[i];
+      }
+      // Cosine-weighted hemisphere sample.
+      const double r1 = rng.nextDouble(), r2 = rng.nextDouble();
+      const double sinT = std::sqrt(r1);
+      const double cosT = std::sqrt(1.0 - r1);
+      const double phi = 2.0 * M_PI * r2;
+      origins[static_cast<std::size_t>(r)] = origin;
+      dirs[static_cast<std::size_t>(r)] = u * (sinT * std::cos(phi)) +
+                                          v * (sinT * std::sin(phi)) +
+                                          inward * cosT;
     }
-    // Cosine-weighted hemisphere sample.
-    const double r1 = rng.nextDouble(), r2 = rng.nextDouble();
-    const double sinT = std::sqrt(r1);
-    const double cosT = std::sqrt(1.0 - r1);
-    const double phi = 2.0 * M_PI * r2;
-    const Vector dir =
-        u * (sinT * std::cos(phi)) + v * (sinT * std::sin(phi)) +
-        inward * cosT;
-    return traceRay(origin, dir, 0, segments);
-  };
-
-  double sum = 0.0;
-  if (pool != nullptr && pool->size() > 1 && nRays > 1) {
-    // Per-ray intensities land in a vector and are reduced in ray order
-    // below, so the sum is bitwise identical to the serial loop.
-    std::vector<double> intensity(static_cast<std::size_t>(nRays), 0.0);
-    pool->parallelFor(0, nRays, [&](std::int64_t r) {
-      std::uint64_t segments = 0;
-      intensity[static_cast<std::size_t>(r)] =
-          sampleRay(static_cast<int>(r), segments);
-      flushSegments(segments);
-    });
-    for (int r = 0; r < nRays; ++r)
-      sum += intensity[static_cast<std::size_t>(r)];
-  } else {
     std::uint64_t segments = 0;
-    for (int r = 0; r < nRays; ++r) sum += sampleRay(r, segments);
+    traceRays(e - b, &origins[static_cast<std::size_t>(b)],
+              &dirs[static_cast<std::size_t>(b)],
+              &intensity[static_cast<std::size_t>(b)], segments);
     flushSegments(segments);
-  }
+  };
+  if (chunks > 1)
+    pool->parallelFor(0, chunks, traceChunk);
+  else
+    traceChunk(0);
+  // Reduce in ray order: the flux is bitwise the same for any chunking.
+  double sum = 0.0;
+  for (const double I : intensity) sum += I;
   return M_PI * sum / static_cast<double>(nRays);
 }
 

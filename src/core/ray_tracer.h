@@ -18,6 +18,7 @@
 /// The same kernel serves the CPU path and the simulated-GPU path
 /// (field views over host or device storage; see field_view.h).
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -103,14 +104,19 @@ struct TraceConfig {
   /// hunting). Levels that only supply packed records (the simulated-GPU
   /// kernel) march packed regardless.
   bool usePackedFields = true;
-  /// March 8 rays in lockstep with AVX2 (marchPacket8, DESIGN.md §14)
-  /// when the host supports it and the first level carries packed
-  /// records; rays retire from lanes on wall hit / extinction / ROI exit
-  /// and lanes refill from the pending bundle. Off by default: the SIMD
-  /// path uses a vectorized exp and agrees with the scalar golden march
-  /// only within a documented ULP tolerance, so bitwise-reproducibility
-  /// consumers (golden tests, record/replay) keep the scalar path.
-  bool useSimd = false;
+  /// March rays 8 at a time in lockstep (marchPacket8, DESIGN.md §14)
+  /// when the host supports AVX2+FMA and every level carries packed
+  /// records — the default. Every divQ tile streams all of its (cell,
+  /// ray) pairs through the packet kernel, and rays leaving a level's
+  /// `allowed` box continue on the next level in the same kernel. The
+  /// packet march uses a vectorized exp, so it agrees with the scalar
+  /// march (the reference, kept on hosts without AVX2, under
+  /// RMCRT_NO_SIMD=1 and with this set false) within a documented ULP
+  /// tolerance, not bitwise. A ray's result does not depend on its
+  /// stream, packet or lane, and the AVX2 and AVX-512 kernels agree
+  /// bitwise, so results are reproducible across thread counts, tilings
+  /// and SIMD hosts.
+  bool useSimd = true;
   /// Rays per boundaryFlux / radiometer query. Historically these fans
   /// inherited nDivQRays; wall heat-flux QoIs usually want a different
   /// (often larger) count than the volumetric estimator, so they now
@@ -226,10 +232,12 @@ class Tracer {
   static const char* simdIsa();
 
   /// True when traceRays will take the 8-wide packet path: useSimd is
-  /// set, the host qualifies, and level 0 carries packed records.
+  /// set, the host qualifies, and every level carries packed records
+  /// (the packet passes march records only).
   bool simdActive() const {
-    return m_cfg.useSimd && m_levels.front().packed.valid() &&
-           simdSupported();
+    return m_cfg.useSimd && simdSupported() &&
+           std::all_of(m_levels.begin(), m_levels.end(),
+                       [](const TraceLevel& L) { return L.packed.valid(); });
   }
 
   /// The trace levels this tracer marches (read-only; tests assert the
@@ -242,12 +250,14 @@ class Tracer {
 
   /// Trace \p n independent rays (origins[i], dirs[i]) starting on level
   /// 0, writing each ray's incoming intensity to out[i]. Dispatches to
-  /// the 8-wide AVX2 packet march when simdActive(); otherwise loops the
-  /// scalar march, in which case out[i] is bitwise identical to
-  /// traceRay(origins[i], dirs[i]). The SIMD path marches the exact same
-  /// cell sequence per ray but evaluates the per-segment exp with a
-  /// vectorized kernel, so intensities agree with the scalar path within
-  /// the documented ULP tolerance (DESIGN.md §14), not bitwise.
+  /// the packet march when simdActive(); otherwise loops the scalar
+  /// march, in which case out[i] is bitwise identical to
+  /// traceRay(origins[i], dirs[i]). The packet march visits the exact
+  /// same cells per ray, on every level, but evaluates the per-segment
+  /// exp with a vectorized kernel, so intensities agree with the scalar
+  /// path within the documented ULP tolerance (DESIGN.md §14), not
+  /// bitwise. Either way out[i] depends on ray i alone — not on \p n,
+  /// the other rays, or the lane the ray lands in.
   void traceRays(int n, const Vector* origins, const Vector* dirs,
                  double* out) const;
 
@@ -308,9 +318,9 @@ class Tracer {
   /// nRays == 0 (the default) resolves to TraceConfig::nFluxRays, the
   /// flux fan's own knob. Origins are jittered uniformly over the face
   /// when TraceConfig::jitterRayOrigin is set (matching the divQ
-  /// estimator). With a \p pool, rays fan out in parallel; per-ray
-  /// intensities are reduced in ray order, so the flux is bitwise
-  /// identical to the serial path.
+  /// estimator). The fan goes through traceRays; with a \p pool it is
+  /// split into one chunk per worker. Per-ray intensities are reduced in
+  /// ray order, so the flux is bitwise identical to the serial path.
   double boundaryFlux(const IntVector& cell, const IntVector& face,
                       int nRays = 0, ThreadPool* pool = nullptr) const;
 
@@ -374,43 +384,51 @@ class Tracer {
   double traceRay(Vector origin, Vector dir, std::size_t startLevel,
                   std::uint64_t& segments) const;
 
-  /// traceRays with a caller-owned segment counter: the scalar per-ray
-  /// loop, bitwise identical to traceRay.
+  /// traceRays with a caller-owned segment counter: the single dispatch
+  /// between the packet march and the scalar loop.
+  void traceRays(int n, const Vector* origins, const Vector* dirs,
+                 double* out, std::uint64_t& segments) const;
+
+  /// The scalar per-ray loop, bitwise identical to traceRay.
   void traceRaysScalar(int n, const Vector* origins, const Vector* dirs,
                        double* out, std::uint64_t& segments) const;
 
-  /// The 8-wide AVX2 packet march (marchPacket8; ray_tracer_simd.cc,
-  /// DESIGN.md §14). SoA lane state, branchless min-axis selection via
-  /// vector compares/blends, masked lane retirement on wall hit /
-  /// extinction / `allowed` exit, with retired lanes refilled from the
-  /// pending bundle. Rays that exit level 0's allowed box retire from
-  /// the packet and finish on the coarser levels via the scalar march.
-  /// Callers must check simdActive() first.
+  /// The packet march (ray_tracer_simd.cc, DESIGN.md §14): one packet
+  /// pass per level. Level 0's pass marches the given rays; each ray
+  /// that leaves a level's `allowed` box inside the domain goes into a
+  /// handoff buffer with its position, direction, intensity and
+  /// transmissivity, and the next level's pass marches that buffer from
+  /// the carried state. Runtime dispatch picks the AVX-512 or AVX2
+  /// kernel; both give bitwise-equal results. Callers must check
+  /// simdActive() first.
   void traceRaysSimd(int n, const Vector* origins, const Vector* dirs,
                      double* out, std::uint64_t& segments) const;
 
-#if RMCRT_SIMD_X86
-  /// The two ISA-specific packet kernels behind traceRaysSimd's runtime
-  /// dispatch. Both march the bitwise-identical cell sequence; they
-  /// differ only in packet shape (AVX2: one packet as two 4-lane
-  /// halves; AVX-512: two independent 8-lane packets interleaved to
-  /// hide gather/exp latency) and in the vector exp kernel's rounding,
-  /// so each agrees with the scalar reference within the same
-  /// documented ULP tolerance.
-  void traceRaysAvx2(int n, const Vector* origins, const Vector* dirs,
-                     double* out, std::uint64_t& segments) const;
-  void traceRaysAvx512(int n, const Vector* origins, const Vector* dirs,
-                       double* out, std::uint64_t& segments) const;
-#endif
+  /// Origins and directions of rays [rBegin, rEnd) of \p cell (a cell of
+  /// levels[0]): ray r draws from Rng(seed, cell, r) whichever pass,
+  /// stream or entry point asks for it — the one ray generator of the
+  /// divQ estimator.
+  void generateRays(const IntVector& cell, int rBegin, int rEnd,
+                    Vector* origins, Vector* dirs) const;
 
-  /// Finish a ray that left level 0's allowed box at \p pos: the coarse
-  /// continuation loop shared by the scalar and packet paths.
-  void finishRayCoarse(Vector pos, const Vector& dir, double& sumI,
-                       double& transmissivity, std::uint64_t& segments) const;
+  /// Rays per stream: traceTileRays generates a tile's (cell, ray) pairs
+  /// into per-thread scratch of this many rays and traces each full
+  /// stream with one traceRays call, and traceRaysSimd marches longer
+  /// calls this many rays at a time. Bounds the per-thread scratch (64
+  /// bytes a ray, plus up to twice that for the level handoff) whatever
+  /// the tile or patch size; results do not depend on it.
+  static constexpr int kStreamRays = 1024;
 
-  /// meanIncomingIntensity with a caller-owned segment counter.
-  double meanIncomingIntensity(const IntVector& cell,
-                               std::uint64_t& segments) const;
+  /// The tile ray stream behind every divQ entry point. For the i-th
+  /// cell c of \p tile (z-major order), rays(i) gives the ray range
+  /// [first, second) to trace. The rays are generated into bounded
+  /// per-thread scratch and traced kStreamRays at a time through one
+  /// traceRays call, so packet lanes refill across cell boundaries;
+  /// consume(i, intensity) then sees every ray in (cell, ray) order,
+  /// whatever the stream size.
+  template <class RayRange, class Consume>
+  void traceTileRays(const CellRange& tile, RayRange rays, Consume consume,
+                     std::uint64_t& segments) const;
 
   /// Deterministic per-cell ray budget from the pilot statistics alone —
   /// a pure function of (seed, cell), never of threads or tiles:
@@ -419,18 +437,6 @@ class Tracer {
   /// pilot fan; a vanishing denominator saturates at the cap.
   int adaptiveBudget(double pilotMean, double pilotStddev,
                      double sigmaT4OverPi) const;
-
-  /// Trace rays [rBegin, rEnd) of \p cell's (seed, cell, ray) streams —
-  /// identical RNG consumption to the fixed fan's prefix — appending
-  /// per-ray intensities to \p sum in ray order. Dispatches to the
-  /// packet march (via the reusable bundle scratch) when simdActive(),
-  /// else the scalar loop; intensities[] holds the per-ray values of
-  /// this range on return (pilot pass reads them for the variance).
-  void traceCellRays(const IntVector& cell, int rBegin, int rEnd,
-                     double& sum, std::vector<Vector>& origins,
-                     std::vector<Vector>& dirs,
-                     std::vector<double>& intensities,
-                     std::uint64_t& segments) const;
 
   /// The two-pass adaptive tile: pilot fan + variance-sized top-up per
   /// cell, both passes consuming the same (seed, cell, ray) streams as
@@ -445,16 +451,6 @@ class Tracer {
   /// so concurrent tiles never race on the gauges).
   void publishRayGauges() const;
 
-  /// Packet-path meanIncomingIntensity: generates the exact same
-  /// (origin, dir) bundle as the scalar loop (identical RNG consumption),
-  /// traces it through traceRaysSimd into \p scratch, and sums per-ray
-  /// intensities in ray order.
-  double meanIncomingIntensitySimd(const IntVector& cell,
-                                   std::vector<Vector>& origins,
-                                   std::vector<Vector>& dirs,
-                                   std::vector<double>& intensities,
-                                   std::uint64_t& segments) const;
-
   std::vector<TraceLevel> m_levels;
   WallProperties m_walls;
   TraceConfig m_cfg;
@@ -462,13 +458,6 @@ class Tracer {
   /// of the outer vector never touch the record buffers, so the views in
   /// m_levels stay valid for the Tracer's lifetime.
   std::vector<PackedLevelField> m_ownedPacked;
-  /// Whether level 0's packed records contain any wall cell — scanned
-  /// once at construction when the SIMD path is eligible, so wall-free
-  /// domains (the Burns-Christon benchmark) skip the per-crossing
-  /// cellType gather in the packet march. Conservatively true when not
-  /// scanned; domain-boundary walls are handled at box exit and never
-  /// depend on this.
-  bool m_level0HasWalls = true;
   mutable std::atomic<std::uint64_t> m_segments{0};
   /// Ray-budget accounting behind the rays-per-cell gauges: rays
   /// actually traced by divQ sweeps, cells processed, and the largest

@@ -1,18 +1,19 @@
 /// \file ray_tracer_simd.cc
 /// marchPacket8: the 8-wide SIMD ray-packet march (DESIGN.md §14).
 ///
-/// Eight rays march in lockstep through level 0's packed records. Two
-/// ISA-specific kernels sit behind Tracer::traceRaysSimd:
+/// Eight rays march in lockstep through one level's packed records — one
+/// *packet pass* per level. Two ISA-specific kernels sit behind
+/// Tracer::traceRaysSimd:
 ///
-///  - traceRaysAvx512 — TWO independent 8-lane packets, interleaved in
+///  - packetPassAvx512 — TWO independent 8-lane packets, interleaved in
 ///    one loop, one lane per __m512d element, k-mask predication
 ///    throughout. Each packet's whole lane state (tMax/tDelta/cnt per
-///    axis, offset, strides, tCur/trans/sumI, bundle index) stays in
+///    axis, offset, strides, tCur/trans/sumI, result slot) stays in
 ///    registers; every commit is a single masked op, so there is no
 ///    hot/slow path split, and the second packet's independent
 ///    gather→exp→transmissivity chain fills the first's latency
 ///    bubbles. Preferred whenever the host has AVX-512 F/DQ/VL/BW.
-///  - traceRaysAvx2 — the packet as two 4-lane __m256d halves, with a
+///  - packetPassAvx2 — the packet as two 4-lane __m256d halves, with a
 ///    register-resident unmasked hot loop that breaks (without
 ///    committing) on any lane event and a masked slow path that redoes
 ///    the event crossing and retires/refills lanes.
@@ -24,21 +25,26 @@
 /// helpers for the record loads, and a vectorized polynomial exp
 /// (exp4d / exp8d below). Lanes retire when a ray hits a wall cell,
 /// extinguishes below TraceConfig::threshold, or steps out of the
-/// level's `allowed` box; retired lanes refill from the pending bundle
+/// level's `allowed` box; retired lanes refill from the pending rays
 /// through a SetupQueue that precomputes per-ray DDA setups a chunk at
 /// a time (the setup's division chain would otherwise stall the packet
-/// at every refill). Rays that left `allowed` finish on the coarser
-/// levels through the scalar march.
+/// at every refill). A ray that leaves `allowed` inside the domain goes
+/// into a handoff buffer with its carried intensity and transmissivity,
+/// and the next level's pass marches the buffer.
 ///
 /// Numerical contract: the DDA bookkeeping (tMax/tDelta setup, min-axis
 /// tie-breaking, segment lengths, cell paths) performs the exact same
 /// IEEE operations as the scalar packed march, so every ray visits the
 /// bitwise-identical cell sequence with bitwise-identical segment
-/// lengths. The only divergence is the polynomial exp vs libm exp
-/// (≤ ~2 ulp per segment), which accumulates multiplicatively through
-/// the transmissivity — hence the documented ULP tolerance on per-ray
-/// intensities (DESIGN.md §14, simd_march_test) instead of bitwise
-/// equality. The scalar path remains the golden reference.
+/// lengths, on every level (the handoff position is rounded like the
+/// scalar march's; rmcrt_core builds with -ffp-contract=off so no
+/// mul+add becomes an FMA). The only divergence is the polynomial exp
+/// vs libm exp (≤ ~2 ulp per segment), which accumulates
+/// multiplicatively through the transmissivity — hence the documented
+/// ULP tolerance on per-ray intensities (DESIGN.md §14,
+/// simd_march_test) instead of bitwise equality. The two kernels run
+/// the same IEEE operations per ray and agree bitwise with each other.
+/// The scalar path remains the golden reference.
 ///
 /// This translation unit is compiled with the baseline ISA; only the
 /// functions marked RMCRT_TARGET_AVX2 / RMCRT_TARGET_AVX512 carry
@@ -47,11 +53,13 @@
 /// RMCRT_FORCE_AVX2=1 pins an AVX-512 host to the AVX2 kernel so the
 /// fallback stays testable on modern hardware.
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
+#include <vector>
 
 #include "core/packed_field.h"
 #include "core/ray_tracer.h"
@@ -67,6 +75,12 @@ namespace rmcrt::core {
 #define RMCRT_TARGET_AVX2 __attribute__((target("avx2,fma")))
 #define RMCRT_TARGET_AVX512 \
   __attribute__((target("avx512f,avx512dq,avx512vl,avx512bw,avx2,fma")))
+// For the helpers the packet loops call on lane retirement and refill.
+// Any call left in a kernel's loop makes GCC keep the packet state (all
+// vector registers are caller-saved) in memory across the whole loop;
+// at -O2 its inliner leaves these calls in and the march runs at half
+// speed.
+#define RMCRT_ALWAYS_INLINE inline __attribute__((always_inline))
 
 namespace {
 
@@ -74,6 +88,63 @@ namespace {
 double safeDivSimd(double num, double den) {
   return den == 0.0 ? std::numeric_limits<double>::infinity() : num / den;
 }
+
+/// A packet pass's input: n rays starting at pos[i] in direction dir[i].
+/// Level 0's pass starts every ray fresh (null carried state: intensity
+/// 0, transmissivity 1, result slot i); a coarser level's pass resumes
+/// the rays the finer pass handed off, with the state they carried out.
+struct PassRays {
+  int n = 0;
+  const Vector* pos = nullptr;
+  const Vector* dir = nullptr;
+  const double* sumI = nullptr;
+  const double* trans = nullptr;
+  const int* ray = nullptr;
+};
+
+/// The rays one level's pass hands to the next coarser level: each left
+/// the level's `allowed` box inside the domain at `pos`. Reused across
+/// calls (see Tracer::traceRaysSimd), so steady-state passes allocate
+/// nothing.
+struct Handoff {
+  std::vector<Vector> pos, dir;
+  std::vector<double> sumI, trans;
+  std::vector<int> ray;
+
+  void clear() {
+    pos.clear();
+    dir.clear();
+    sumI.clear();
+    trans.clear();
+    ray.clear();
+  }
+  void push(const Vector& p, const Vector& d, double s, double t, int r) {
+    pos.push_back(p);
+    dir.push_back(d);
+    sumI.push_back(s);
+    trans.push_back(t);
+    ray.push_back(r);
+  }
+  PassRays rays() const {
+    return PassRays{static_cast<int>(ray.size()), pos.data(), dir.data(),
+                    sumI.data(), trans.data(), ray.data()};
+  }
+};
+
+/// One level's packet pass: the level, the constants of the march and
+/// where finished and handed-off rays go.
+struct PacketPass {
+  const TraceLevel* level = nullptr;
+  /// A coarser level follows: rays leaving `allowed` inside the domain
+  /// go to `next` instead of taking the domain-wall term.
+  bool hasNext = false;
+  double threshold = 0.0;
+  double kappaScale = 1.0;
+  double wallEmissivity = 1.0;
+  double wallSigmaT4OverPi = 0.0;
+  double* out = nullptr;
+  Handoff* next = nullptr;
+};
 
 /// Per-ray Amanatides-Woo setup, precomputed by SetupQueue so a lane
 /// refill is a handful of L1 copies instead of a chain of divisions.
@@ -86,11 +157,16 @@ struct RaySetup {
   /// `stepped < lo || stepped >= hi` is equivalent to this count going
   /// negative.
   double cnt[3];
+  /// State carried in from the finer level (0 and 1 on level 0).
+  double sumI;
+  double trans;
   /// Linear record element offset of the ray's starting cell.
   std::int64_t off;
   /// Pre-signed element stride per axis (PackedFieldView::laneStride).
   std::int64_t axStride[3];
   std::int64_t initCnt[3];
+  /// Result slot: out[ray] receives the ray's intensity.
+  std::int64_t ray;
   int step[3];
   int start[3];
 };
@@ -98,8 +174,9 @@ struct RaySetup {
 /// Performs the exact FP sequence of the scalar packed march's setup, so
 /// the ray's tMax/tDelta (and therefore its whole cell path) are bitwise
 /// identical to the scalar reference.
-void computeRaySetup(const TraceLevel& L, const Vector& origin,
-                     const Vector& dir, RaySetup& rs) {
+RMCRT_ALWAYS_INLINE void computeRaySetup(const TraceLevel& L,
+                                         const Vector& origin,
+                                         const Vector& dir, RaySetup& rs) {
   const LevelGeom& g = L.geom;
   IntVector start = g.cellAt(origin);
   start = max(min(start, L.allowed.high() - IntVector(1)), L.allowed.low());
@@ -132,36 +209,38 @@ void computeRaySetup(const TraceLevel& L, const Vector& origin,
 /// L1 and lets the divisions pipeline against the marching packet.
 class SetupQueue {
  public:
-  SetupQueue(const TraceLevel& level, const Vector* origins,
-             const Vector* dirs, int n)
-      : m_level(level), m_origins(origins), m_dirs(dirs), m_n(n) {}
+  SetupQueue(const TraceLevel& level, const PassRays& rays)
+      : m_level(level), m_rays(rays) {}
 
-  bool empty() const { return m_next >= m_n; }
+  bool empty() const { return m_next >= m_rays.n; }
 
-  /// Pops the next pending ray's setup; \p rayIdx receives its bundle
-  /// index. Only valid when !empty(). The reference stays valid until
-  /// the next pop.
-  const RaySetup& pop(int& rayIdx) {
+  /// Pops the next pending ray's setup; \p idx receives its index in
+  /// the pass input. Only valid when !empty(). The reference stays valid
+  /// until the next pop.
+  RMCRT_ALWAYS_INLINE const RaySetup& pop(int& idx) {
     if (m_next >= m_base + m_filled) fill();
-    rayIdx = m_next;
+    idx = m_next;
     return m_buf[m_next++ - m_base];
   }
 
  private:
-  void fill() {
+  RMCRT_ALWAYS_INLINE void fill() {
     m_base = m_next;
-    const int remaining = m_n - m_base;
+    const int remaining = m_rays.n - m_base;
     m_filled = remaining < kChunk ? remaining : kChunk;
-    for (int i = 0; i < m_filled; ++i)
-      computeRaySetup(m_level, m_origins[m_base + i], m_dirs[m_base + i],
-                      m_buf[i]);
+    for (int i = 0; i < m_filled; ++i) {
+      const int k = m_base + i;
+      RaySetup& rs = m_buf[i];
+      computeRaySetup(m_level, m_rays.pos[k], m_rays.dir[k], rs);
+      rs.sumI = m_rays.sumI != nullptr ? m_rays.sumI[k] : 0.0;
+      rs.trans = m_rays.trans != nullptr ? m_rays.trans[k] : 1.0;
+      rs.ray = m_rays.ray != nullptr ? m_rays.ray[k] : k;
+    }
   }
 
   static constexpr int kChunk = 128;
   const TraceLevel& m_level;
-  const Vector* m_origins;
-  const Vector* m_dirs;
-  int m_n = 0;
+  PassRays m_rays;
   int m_next = 0;
   int m_base = 0;
   int m_filled = 0;
@@ -183,8 +262,9 @@ struct PacketLanes {
   alignas(64) std::int64_t off[8];
   alignas(64) std::int64_t axStride[3][8];
 
-  // Scalar-side data for lane retirement / coarse continuation.
-  Vector origin[8];
+  // Scalar-side data for lane retirement / coarse handoff: where the ray
+  // entered this level, its direction and its result slot.
+  Vector pos[8];
   Vector dir[8];
   int rayIdx[8];
   int step[3][8];
@@ -193,8 +273,9 @@ struct PacketLanes {
 };
 
 /// Copy a precomputed setup into lane \p lane.
-void fillLane(PacketLanes& P, int lane, const RaySetup& rs,
-              const Vector& origin, const Vector& dir, int rayIdx) {
+RMCRT_ALWAYS_INLINE void fillLane(PacketLanes& P, int lane,
+                                  const RaySetup& rs, const Vector& pos,
+                                  const Vector& dir) {
   for (int i = 0; i < 3; ++i) {
     P.tMax[i][lane] = rs.tMax[i];
     P.tDelta[i][lane] = rs.tDelta[i];
@@ -205,28 +286,54 @@ void fillLane(PacketLanes& P, int lane, const RaySetup& rs,
     P.start[i][lane] = rs.start[i];
   }
   P.tCur[lane] = 0.0;
-  P.trans[lane] = 1.0;
-  P.sumI[lane] = 0.0;
+  P.trans[lane] = rs.trans;
+  P.sumI[lane] = rs.sumI;
   P.off[lane] = rs.off;
-  P.origin[lane] = origin;
+  P.pos[lane] = pos;
   P.dir[lane] = dir;
-  P.rayIdx[lane] = rayIdx;
+  P.rayIdx[lane] = static_cast<int>(rs.ray);
 }
 
 /// The scalar-side subset of fillLane: only what the retirement /
-/// coarse-continuation code reads. The AVX-512 kernel keeps the vector
-/// rows in registers (merged via insertLane below), so writing them to
-/// P would be dead stores.
-void fillLaneMeta(PacketLanes& P, int lane, const RaySetup& rs,
-                  const Vector& origin, const Vector& dir, int rayIdx) {
+/// handoff code reads. The AVX-512 kernel keeps the vector rows in
+/// registers (merged via insertLane below), so writing them to P would
+/// be dead stores.
+RMCRT_ALWAYS_INLINE void fillLaneMeta(PacketLanes& P, int lane,
+                                      const RaySetup& rs, const Vector& pos,
+                                      const Vector& dir) {
   for (int i = 0; i < 3; ++i) {
     P.initCnt[i][lane] = rs.initCnt[i];
     P.step[i][lane] = rs.step[i];
     P.start[i][lane] = rs.start[i];
   }
-  P.origin[lane] = origin;
+  P.pos[lane] = pos;
   P.dir[lane] = dir;
-  P.rayIdx[lane] = rayIdx;
+  P.rayIdx[lane] = static_cast<int>(rs.ray);
+}
+
+/// Finish lane \p lane of a multi-level pass after it stepped out of
+/// `allowed` with intensity \p laneSum: reconstruct the stepped cell;
+/// outside the domain the ray takes the domain-wall term and its result
+/// is final, inside it goes to the next level's handoff buffer from the
+/// crossing position (the scalar march's `pos + dir * tCur`, rounded the
+/// same way). Returns true when the result is final.
+RMCRT_ALWAYS_INLINE bool exitLane(const PacketPass& pass,
+                                  const PacketLanes& P, int lane,
+                                  double& laneSum) {
+  IntVector cur;
+  for (int a = 0; a < 3; ++a) {
+    const std::int64_t taken =
+        P.initCnt[a][lane] - static_cast<std::int64_t>(P.cnt[a][lane]);
+    cur[a] = P.start[a][lane] + P.step[a][lane] * static_cast<int>(taken);
+  }
+  const double laneTrans = P.trans[lane];
+  if (!pass.level->geom.cells.contains(cur)) {
+    laneSum += pass.wallEmissivity * pass.wallSigmaT4OverPi * laneTrans;
+    return true;
+  }
+  pass.next->push(P.pos[lane] + P.dir[lane] * P.tCur[lane], P.dir[lane],
+                  laneSum, laneTrans, P.rayIdx[lane]);
+  return false;
 }
 
 /// Shared constants of the vector exp kernels: round-to-nearest
@@ -453,14 +560,13 @@ bool avx512Usable() {
   return e == nullptr || e[0] == '\0' || e[0] == '0';
 }
 
-}  // namespace
-
+/// One level's pass on AVX2: the 8-lane packet as two 4-lane halves.
 RMCRT_TARGET_AVX2
-void Tracer::traceRaysAvx2(int n, const Vector* origins, const Vector* dirs,
-                           double* out, std::uint64_t& segments) const {
-  assert(n > 0);
-  const TraceLevel& L0 = m_levels.front();
-  const PackedFieldView& pf = L0.packed;
+void packetPassAvx2(const PacketPass& pass, const PassRays& rays,
+                    std::uint64_t& segments) {
+  assert(rays.n > 0);
+  const TraceLevel& L = *pass.level;
+  const PackedFieldView& pf = L.packed;
   assert(pf.valid());
   const unsigned char* base = pf.bytes();
   const double* abskgBase = reinterpret_cast<const double*>(
@@ -469,28 +575,31 @@ void Tracer::traceRaysAvx2(int n, const Vector* origins, const Vector* dirs,
       base + PackedFieldView::kSigmaByteOffset);
   const int* cellTypeBase = reinterpret_cast<const int*>(
       base + PackedFieldView::kCellTypeByteOffset);
-  const bool hasWalls = m_level0HasWalls;
-  const bool multiLevel = m_levels.size() > 1;
-  const LevelGeom& g = L0.geom;
+  // Loop-invariant, so both branches predict perfectly: wall-free
+  // levels skip the cellType gather, and the last level's `allowed`
+  // exits take the domain-wall term instead of the handoff.
+  const bool hasWalls = pf.hasWalls();
+  const bool hasNext = pass.hasNext;
+  double* const out = pass.out;
 
-  const __m256d vThreshold = _mm256_set1_pd(m_cfg.threshold);
-  const __m256d vEmissivity = _mm256_set1_pd(m_walls.emissivity);
+  const __m256d vThreshold = _mm256_set1_pd(pass.threshold);
+  const __m256d vEmissivity = _mm256_set1_pd(pass.wallEmissivity);
   const __m256d vOne = _mm256_set1_pd(1.0);
   const __m256d vZero = _mm256_setzero_pd();
   const __m256d vSign = _mm256_set1_pd(-0.0);
   // Band scale on gathered kappa (spectral pipeline); 1.0 in gray mode,
   // where the extra mul is bitwise neutral. Sources are never scaled.
-  const __m256d vKappaScale = _mm256_set1_pd(m_cfg.kappaScale);
+  const __m256d vKappaScale = _mm256_set1_pd(pass.kappaScale);
   const __m128i vWallType =
       _mm_set1_epi32(static_cast<int>(PackedCell::kWall));
 
-  SetupQueue queue(L0, origins, dirs, n);
+  SetupQueue queue(L, rays);
   PacketLanes P = {};
   unsigned aliveBits = 0;
   for (int lane = 0; lane < 8 && !queue.empty(); ++lane) {
     int idx;
     const RaySetup& rs = queue.pop(idx);
-    fillLane(P, lane, rs, origins[idx], dirs[idx], idx);
+    fillLane(P, lane, rs, rays.pos[idx], rays.dir[idx]);
     aliveBits |= 1u << lane;
   }
 
@@ -728,7 +837,7 @@ void Tracer::traceRaysAvx2(int n, const Vector* origins, const Vector* dirs,
       _mm256_store_pd(P.sumI + lo, sumI);
 
       // Retire finished lanes (wall, extinction, allowed-box exit) and
-      // refill from the pending bundle.
+      // refill from the pending rays.
       const __m256d retire =
           _mm256_or_pd(_mm256_or_pd(wall, ext), exited);
       unsigned rbits = static_cast<unsigned>(_mm256_movemask_pd(retire));
@@ -739,31 +848,20 @@ void Tracer::traceRaysAvx2(int n, const Vector* origins, const Vector* dirs,
         rbits &= rbits - 1;
         const int lane = lo + bit;
         double laneSum = P.sumI[lane];
+        bool finished = true;
         if ((ebits >> bit) & 1u) {
-          // The lane stepped out of `allowed`: reconstruct the stepped
-          // cell and the crossing position, then follow the scalar
-          // march's exit logic (domain wall, or coarse continuation).
-          IntVector cur;
-          for (int a = 0; a < 3; ++a) {
-            const std::int64_t taken =
-                P.initCnt[a][lane] - static_cast<std::int64_t>(P.cnt[a][lane]);
-            cur[a] = P.start[a][lane] +
-                     P.step[a][lane] * static_cast<int>(taken);
-          }
-          double laneTrans = P.trans[lane];
-          if (!g.cells.contains(cur) || !multiLevel) {
-            laneSum += m_walls.emissivity * m_walls.sigmaT4OverPi * laneTrans;
-          } else {
-            const Vector pos =
-                P.origin[lane] + P.dir[lane] * P.tCur[lane];
-            finishRayCoarse(pos, P.dir[lane], laneSum, laneTrans, segments);
-          }
+          // Stepped out of `allowed`: the domain wall, or the next level.
+          if (hasNext)
+            finished = exitLane(pass, P, lane, laneSum);
+          else
+            laneSum += pass.wallEmissivity * pass.wallSigmaT4OverPi *
+                       P.trans[lane];
         }
-        out[P.rayIdx[lane]] = laneSum;
+        if (finished) out[P.rayIdx[lane]] = laneSum;
         if (!queue.empty()) {
           int idx;
           const RaySetup& rs = queue.pop(idx);
-          fillLane(P, lane, rs, origins[idx], dirs[idx], idx);
+          fillLane(P, lane, rs, rays.pos[idx], rays.dir[idx]);
         } else {
           aliveBits &= ~(1u << lane);
         }
@@ -785,18 +883,16 @@ void Tracer::traceRaysAvx2(int n, const Vector* origins, const Vector* dirs,
 // helper function or lambda: GCC does not propagate target attributes
 // into lambdas (the intrinsics would fail to compile), and an
 // out-of-line helper would round-trip all seventeen packet registers
-// through memory on every call. The macro expands inside the member
-// function, so the multi-level retirement path can call
-// finishRayCoarse directly. `PFX` prefixes every packet-local; shared
-// state (queue, bases, constants, masks config) is captured from the
+// through memory on every call. `PFX` prefixes every packet-local;
+// shared state (queue, pass, bases, constants) is captured from the
 // enclosing scope.
 //
 // RMCRT_DECL_PKT: stage up to 8 rays into PFX##P, then lift the whole
 // packet into registers. Dead lanes carry zeros (P is zero-initialized)
 // and every commit is k-masked, so they march harmlessly and never
-// retire. PFX##ridx keeps each lane's bundle index register-resident
-// for the single-level scatter retirement; only lanes in `retire`
-// (a subset of alive) ever scatter, so stale indices on dead lanes are
+// retire. PFX##ridx keeps each lane's result slot register-resident
+// for the last-level scatter retirement; only lanes in `retire` (a
+// subset of alive) ever scatter, so stale indices on dead lanes are
 // harmless.
 #define RMCRT_DECL_PKT(PFX)                                                    \
   PacketLanes PFX##P = {};                                                     \
@@ -804,7 +900,7 @@ void Tracer::traceRaysAvx2(int n, const Vector* origins, const Vector* dirs,
   for (int lane = 0; lane < 8 && !queue.empty(); ++lane) {                     \
     int idx;                                                                   \
     const RaySetup& rs = queue.pop(idx);                                       \
-    fillLane(PFX##P, lane, rs, origins[idx], dirs[idx], idx);                  \
+    fillLane(PFX##P, lane, rs, rays.pos[idx], rays.dir[idx]);                  \
     PFX##alive = static_cast<__mmask8>(PFX##alive | (1u << lane));             \
   }                                                                            \
   __m512d PFX##t0 = _mm512_load_pd(PFX##P.tMax[0]);                            \
@@ -836,17 +932,18 @@ void Tracer::traceRaysAvx2(int n, const Vector* origins, const Vector* dirs,
 // zero-length crossings uncounted, extinction checked before the
 // advance commits, min-axis tie-break x beats y beats z.
 //
-// Retirement splits on multiLevel (loop-invariant, perfectly
-// predicted). Single level: `allowed` is the whole domain, so every
-// exited lane takes the domain-wall term (the scalar
-// `!contains || !multiLevel` arm) and all retiring lanes finish with
-// one mul+masked-add (the scalar two-rounding order - no FMA) and one
-// masked scatter; refill is register-only broadcast inserts straight
-// from the setup chunk, no spills and no scalar-side metadata. Multi
-// level: spill the rows the scalar-side code reads (wide stores, later
-// narrow loads - that direction store-forwards cleanly), reconstruct
-// the stepped cell, finish via domain wall or coarse continuation, and
-// refill through fillLaneMeta plus the same register-only inserts.
+// Retirement splits on hasNext (loop-invariant, perfectly predicted).
+// Last level (or a single level): every exited lane takes
+// the domain-wall term (the scalar march's wall arm when no coarser
+// level remains) and all retiring lanes finish with one mul+masked-add
+// (the scalar two-rounding order - no FMA) and one masked scatter to
+// their result slots; refill is register-only broadcast inserts straight
+// from the setup chunk, no spills and no scalar-side metadata. A level
+// with a coarser one after it: spill the rows the scalar-side code reads
+// (wide stores, later narrow loads - that direction store-forwards
+// cleanly), then exitLane either applies the domain wall or pushes the
+// ray into the handoff buffer, and refill goes through fillLaneMeta plus
+// the same register-only inserts.
 #define RMCRT_STEP(PFX)                                                        \
   if (PFX##alive != 0) {                                                       \
     /* Byte offset of each lane's record: off*24 = (off<<4)+(off<<3). */       \
@@ -912,7 +1009,7 @@ void Tracer::traceRaysAvx2(int n, const Vector* origins, const Vector* dirs,
     const __mmask8 retire = static_cast<__mmask8>(wallM | ext | exited);       \
     if (retire != 0) {                                                         \
       __mmask8 refill = 0;                                                     \
-      if (!multiLevel) {                                                       \
+      if (!hasNext) {                                                          \
         const __m512d outV = _mm512_mask_add_pd(                               \
             PFX##sumI, exited, PFX##sumI,                                      \
             _mm512_mul_pd(vWallTerm, PFX##trans));                             \
@@ -925,9 +1022,8 @@ void Tracer::traceRaysAvx2(int n, const Vector* origins, const Vector* dirs,
           if (!queue.empty()) {                                                \
             int idx;                                                           \
             const RaySetup& rs = queue.pop(idx);                               \
-            const std::int64_t idx64 = idx;                                    \
             RMCRT_REFILL_LANE(PFX)                                             \
-            PFX##ridx = insertLane64(PFX##ridx, lm, &idx64);                   \
+            PFX##ridx = insertLane64(PFX##ridx, lm, &rs.ray);                  \
             refill = static_cast<__mmask8>(refill | lm);                       \
           } else {                                                             \
             RMCRT_KILL_LANE(PFX)                                               \
@@ -945,35 +1041,14 @@ void Tracer::traceRaysAvx2(int n, const Vector* origins, const Vector* dirs,
           const int lane = __builtin_ctz(rbits);                               \
           rbits &= rbits - 1;                                                  \
           double laneSum = PFX##P.sumI[lane];                                  \
-          if ((exited >> lane) & 1u) {                                         \
-            /* The lane stepped out of `allowed`: reconstruct the */           \
-            /* stepped cell and the crossing position, then follow */          \
-            /* the scalar exit logic (wall or coarse continuation). */         \
-            IntVector cur;                                                     \
-            for (int a = 0; a < 3; ++a) {                                      \
-              const std::int64_t taken =                                       \
-                  PFX##P.initCnt[a][lane] -                                    \
-                  static_cast<std::int64_t>(PFX##P.cnt[a][lane]);              \
-              cur[a] = PFX##P.start[a][lane] +                                 \
-                       PFX##P.step[a][lane] * static_cast<int>(taken);         \
-            }                                                                  \
-            double laneTrans = PFX##P.trans[lane];                             \
-            if (!g.cells.contains(cur)) {                                      \
-              laneSum +=                                                       \
-                  m_walls.emissivity * m_walls.sigmaT4OverPi * laneTrans;      \
-            } else {                                                           \
-              const Vector pos =                                               \
-                  PFX##P.origin[lane] + PFX##P.dir[lane] * PFX##P.tCur[lane];  \
-              finishRayCoarse(pos, PFX##P.dir[lane], laneSum, laneTrans,       \
-                              segments);                                       \
-            }                                                                  \
-          }                                                                    \
-          out[PFX##P.rayIdx[lane]] = laneSum;                                  \
+          const bool finished = !((exited >> lane) & 1u) ||                    \
+                                exitLane(pass, PFX##P, lane, laneSum);         \
+          if (finished) out[PFX##P.rayIdx[lane]] = laneSum;                    \
           const __mmask8 lm = static_cast<__mmask8>(1u << lane);               \
           if (!queue.empty()) {                                                \
             int idx;                                                           \
             const RaySetup& rs = queue.pop(idx);                               \
-            fillLaneMeta(PFX##P, lane, rs, origins[idx], dirs[idx], idx);      \
+            fillLaneMeta(PFX##P, lane, rs, rays.pos[idx], rays.dir[idx]);      \
             RMCRT_REFILL_LANE(PFX)                                             \
             refill = static_cast<__mmask8>(refill | lm);                       \
           } else {                                                             \
@@ -981,21 +1056,18 @@ void Tracer::traceRaysAvx2(int n, const Vector* origins, const Vector* dirs,
           }                                                                    \
         }                                                                      \
       }                                                                        \
-      if (refill != 0) {                                                       \
-        /* Fresh rays start at t = 0 with unit transmissivity and */           \
-        /* nothing accumulated - constants, no memory round trip. */           \
-        PFX##tCur =                                                            \
-            _mm512_maskz_mov_pd(static_cast<__mmask8>(~refill), PFX##tCur);    \
-        PFX##trans = _mm512_mask_mov_pd(PFX##trans, refill, vOne);             \
-        PFX##sumI =                                                            \
-            _mm512_maskz_mov_pd(static_cast<__mmask8>(~refill), PFX##sumI);    \
-      }                                                                        \
+      /* Refilled rays start at t = 0 on this level. */                        \
+      PFX##tCur =                                                              \
+          _mm512_maskz_mov_pd(static_cast<__mmask8>(~refill), PFX##tCur);      \
     }                                                                          \
   }
 
 // Refill lane `lm` straight from the setup chunk with register-only
-// broadcast inserts (see insertLane).
+// broadcast inserts (see insertLane), including the intensity and
+// transmissivity the ray carries in from a finer level.
 #define RMCRT_REFILL_LANE(PFX)                                                 \
+  PFX##sumI = insertLane(PFX##sumI, lm, &rs.sumI);                             \
+  PFX##trans = insertLane(PFX##trans, lm, &rs.trans);                          \
   PFX##t0 = insertLane(PFX##t0, lm, &rs.tMax[0]);                              \
   PFX##t1 = insertLane(PFX##t1, lm, &rs.tMax[1]);                              \
   PFX##t2 = insertLane(PFX##t2, lm, &rs.tMax[2]);                              \
@@ -1024,12 +1096,13 @@ void Tracer::traceRaysAvx2(int n, const Vector* origins, const Vector* dirs,
 // positive, not our state.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+/// One level's pass on AVX-512: two interleaved 8-lane packets.
 RMCRT_TARGET_AVX512
-void Tracer::traceRaysAvx512(int n, const Vector* origins, const Vector* dirs,
-                             double* out, std::uint64_t& segments) const {
-  assert(n > 0);
-  const TraceLevel& L0 = m_levels.front();
-  const PackedFieldView& pf = L0.packed;
+void packetPassAvx512(const PacketPass& pass, const PassRays& rays,
+                      std::uint64_t& segments) {
+  assert(rays.n > 0);
+  const TraceLevel& L = *pass.level;
+  const PackedFieldView& pf = L.packed;
   assert(pf.valid());
   const unsigned char* base = pf.bytes();
   const double* abskgBase = reinterpret_cast<const double*>(
@@ -1038,31 +1111,34 @@ void Tracer::traceRaysAvx512(int n, const Vector* origins, const Vector* dirs,
       base + PackedFieldView::kSigmaByteOffset);
   const int* cellTypeBase = reinterpret_cast<const int*>(
       base + PackedFieldView::kCellTypeByteOffset);
-  const bool hasWalls = m_level0HasWalls;
-  const bool multiLevel = m_levels.size() > 1;
-  const LevelGeom& g = L0.geom;
+  // Loop-invariant, so both branches predict perfectly: wall-free
+  // levels skip the cellType gather, and the last level's `allowed`
+  // exits take the domain-wall term instead of the handoff.
+  const bool hasWalls = pf.hasWalls();
+  const bool hasNext = pass.hasNext;
+  double* const out = pass.out;
 
-  const __m512d vThreshold = _mm512_set1_pd(m_cfg.threshold);
-  const __m512d vEmissivity = _mm512_set1_pd(m_walls.emissivity);
+  const __m512d vThreshold = _mm512_set1_pd(pass.threshold);
+  const __m512d vEmissivity = _mm512_set1_pd(pass.wallEmissivity);
   const __m512d vOne = _mm512_set1_pd(1.0);
   const __m512d vZero = _mm512_setzero_pd();
   const __m512d vSign = _mm512_set1_pd(-0.0);
   // Band scale on gathered kappa (spectral pipeline); 1.0 in gray mode,
   // where the extra mul is bitwise neutral. Sources are never scaled.
-  const __m512d vKappaScale = _mm512_set1_pd(m_cfg.kappaScale);
+  const __m512d vKappaScale = _mm512_set1_pd(pass.kappaScale);
   const __m256i vWallType =
       _mm256_set1_epi32(static_cast<int>(PackedCell::kWall));
-  // Hoisted domain-wall emission factor for the single-level vectorized
+  // Hoisted domain-wall emission factor for the last-level vectorized
   // retirement; the scalar march multiplies the same product before the
   // separately rounded add.
   const __m512d vWallTerm =
-      _mm512_set1_pd(m_walls.emissivity * m_walls.sigmaT4OverPi);
+      _mm512_set1_pd(pass.wallEmissivity * pass.wallSigmaT4OverPi);
 
   // Both packets draw rays from one shared queue. Ray-to-packet
   // assignment does not affect results: each ray's march is independent
-  // and bitwise-deterministic, results land at out[ray] via its bundle
-  // index, and the segment total is a per-ray sum.
-  SetupQueue queue(L0, origins, dirs, n);
+  // and bitwise-deterministic, results land at out[ray] via its result
+  // slot, and the segment total is a per-ray sum.
+  SetupQueue queue(L, rays);
   RMCRT_DECL_PKT(A)
   RMCRT_DECL_PKT(B)
 
@@ -1087,12 +1163,36 @@ void Tracer::traceRaysAvx512(int n, const Vector* origins, const Vector* dirs,
 #undef RMCRT_REFILL_LANE
 #undef RMCRT_KILL_LANE
 
+}  // namespace
+
 void Tracer::traceRaysSimd(int n, const Vector* origins, const Vector* dirs,
                            double* out, std::uint64_t& segments) const {
-  if (avx512Usable())
-    traceRaysAvx512(n, origins, dirs, out, segments);
-  else
-    traceRaysAvx2(n, origins, dirs, out, segments);
+  // Two handoff buffers per thread, reused across calls: the pass over
+  // level li reads the rays level li-1 handed off from one and fills the
+  // other for level li+1.
+  static thread_local Handoff buffers[2];
+  const auto passFn = avx512Usable() ? packetPassAvx512 : packetPassAvx2;
+  PacketPass pass;
+  pass.threshold = m_cfg.threshold;
+  pass.kappaScale = m_cfg.kappaScale;
+  pass.wallEmissivity = m_walls.emissivity;
+  pass.wallSigmaT4OverPi = m_walls.sigmaT4OverPi;
+  // Calls longer than a stream march a stream at a time, which bounds
+  // the handoff buffers.
+  for (int b = 0; b < n; b += kStreamRays) {
+    pass.out = out + b;
+    PassRays rays{std::min(kStreamRays, n - b), origins + b, dirs + b,
+                  nullptr, nullptr, nullptr};
+    for (std::size_t li = 0; rays.n > 0; ++li) {
+      Handoff& next = buffers[li % 2];
+      next.clear();
+      pass.level = &m_levels[li];
+      pass.hasNext = li + 1 < m_levels.size();
+      pass.next = &next;
+      passFn(pass, rays, segments);
+      rays = next.rays();
+    }
+  }
 }
 
 const char* Tracer::simdIsa() {

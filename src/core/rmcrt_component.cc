@@ -386,13 +386,17 @@ void runGpuTraceAttempt(const TaskContext& ctx, const PipelineState& st,
                              st.problem.wallEmissivity};
   const TraceConfig cfg = st.trace;
   const BandModel bands = st.bands;
+  // Wall flags come from the host records the uploads were fused from,
+  // so the kernel never scans device memory for them.
+  const bool fineWalls = finePacked.hasWalls();
+  const bool coarseWalls = coarsePacked.hasWalls();
   stream->enqueueKernel([=, &dPackedF, &dPackedC, &dDivQ] {
     // Packed-only levels: `fields` stays invalid, so the Tracer neither
     // re-packs nor falls back to the legacy march.
     TraceLevel fineTL{fineGeom, RadiationFieldsView{}, dPackedF.window,
-                      PackedFieldView::fromDevice(dPackedF)};
+                      PackedFieldView::fromDevice(dPackedF, fineWalls)};
     TraceLevel coarseTL{coarseGeom, RadiationFieldsView{}, coarseGeom.cells,
-                        PackedFieldView::fromDevice(dPackedC)};
+                        PackedFieldView::fromDevice(dPackedC, coarseWalls)};
     gpu::DeviceVar out = dDivQ;
     // Serial inside the simulated kernel: the device executor's SM
     // workers are the parallelism on this path.

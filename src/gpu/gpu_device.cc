@@ -95,6 +95,10 @@ void GpuDevice::resetStats() {
 
 void GpuStream::enqueue(std::function<void()> op) {
   std::lock_guard<std::mutex> lk(m_mutex);
+  // A faulted stream discards every operation until synchronize()
+  // reports the fault — also those enqueued after the fault was
+  // captured, which would otherwise run on undefined inputs.
+  if (m_error) return;
   ++m_submitted;
   m_queue.push_back(std::move(op));
   if (!m_running) {

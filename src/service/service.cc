@@ -253,8 +253,9 @@ std::unique_ptr<Tracer> Service::makeSharedTracer(const SceneState& s,
                     roi, s.finePacked.view()};
   // Coarse level marches the device-resident records (host-addressable
   // simulated device) — the one shared upload serving every tenant.
-  TraceLevel coarseTL{LevelGeom::from(coarse), RadiationFieldsView{},
-                      coarse.cells(), PackedFieldView::fromDevice(*s.coarseDev)};
+  TraceLevel coarseTL{
+      LevelGeom::from(coarse), RadiationFieldsView{}, coarse.cells(),
+      PackedFieldView::fromDevice(*s.coarseDev, s.coarsePacked.hasWalls())};
   return std::make_unique<Tracer>(
       std::vector<TraceLevel>{fineTL, coarseTL}, wallsOf(s.setup.problem),
       s.setup.trace);
@@ -269,8 +270,9 @@ std::unique_ptr<SpectralTracer> Service::makeSharedSpectral(
   // whole band loop rides the same state a gray tenant uses.
   TraceLevel fineTL{LevelGeom::from(fine), viewsOf(s.fAbs, s.fSig, s.fCt),
                     roi, s.finePacked.view()};
-  TraceLevel coarseTL{LevelGeom::from(coarse), RadiationFieldsView{},
-                      coarse.cells(), PackedFieldView::fromDevice(*s.coarseDev)};
+  TraceLevel coarseTL{
+      LevelGeom::from(coarse), RadiationFieldsView{}, coarse.cells(),
+      PackedFieldView::fromDevice(*s.coarseDev, s.coarsePacked.hasWalls())};
   return std::make_unique<SpectralTracer>(
       std::vector<TraceLevel>{fineTL, coarseTL}, wallsOf(s.setup.problem),
       s.setup.trace, s.setup.bands);
@@ -614,8 +616,9 @@ void Service::processNaive(PendingRequest& req) {
             : fine.cells();
     TraceLevel fineTL{LevelGeom::from(fine), viewsOf(s.fAbs, s.fSig, s.fCt),
                       roi, finePacked.view()};
-    TraceLevel coarseTL{LevelGeom::from(coarse), RadiationFieldsView{},
-                        coarse.cells(), PackedFieldView::fromDevice(dv)};
+    TraceLevel coarseTL{
+        LevelGeom::from(coarse), RadiationFieldsView{}, coarse.cells(),
+        PackedFieldView::fromDevice(dv, coarsePacked.hasWalls())};
     Tracer tracer({fineTL, coarseTL}, wallsOf(s.setup.problem), s.setup.trace);
 
     exec.req = &req;

@@ -20,13 +20,23 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <memory>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/problems.h"
 #include "core/ray_tracer.h"
+#include "core/rmcrt_component.h"
+#include "gpu/gpu_data_warehouse.h"
+#include "gpu/gpu_device.h"
 #include "grid/grid.h"
+#include "grid/load_balancer.h"
 #include "grid/operators.h"
+#include "runtime/scheduler.h"
+#include "util/thread_pool.h"
 
 namespace rmcrt::core {
 namespace {
@@ -144,6 +154,114 @@ void expectBundleParity(const Tracer& simd, const Tracer& scalar, int n) {
         << "ray " << i << " dir " << dirs[s] << ": simd " << iSimd[s]
         << " vs scalar " << iScalar[s];
   }
+}
+
+/// Sets (or, with nullptr, clears) an environment variable for one
+/// scope and restores the previous value after, so a CI job that runs
+/// this binary with RMCRT_FORCE_AVX2 or RMCRT_NO_SIMD set keeps it for
+/// the tests that follow.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : m_name(name) {
+    const char* old = std::getenv(name);
+    m_had = old != nullptr;
+    if (m_had) m_old = old;
+    if (value != nullptr)
+      ::setenv(name, value, 1);
+    else
+      ::unsetenv(name);
+  }
+  ~ScopedEnv() {
+    if (m_had)
+      ::setenv(m_name, m_old.c_str(), 1);
+    else
+      ::unsetenv(m_name);
+  }
+
+ private:
+  const char* m_name;
+  bool m_had = false;
+  std::string m_old;
+};
+
+/// Runs \p body once per packet kernel: the native dispatch, then the
+/// AVX2 kernel pinned with RMCRT_FORCE_AVX2 (read on every call). On an
+/// AVX2-only host both runs take the AVX2 kernel; without AVX2 (or with
+/// RMCRT_NO_SIMD set) both take the scalar march.
+template <class Body>
+void forEachPacketKernel(Body body) {
+  {
+    SCOPED_TRACE("native kernel");
+    ScopedEnv native("RMCRT_FORCE_AVX2", nullptr);
+    body();
+  }
+  {
+    SCOPED_TRACE("AVX2 kernel");
+    ScopedEnv avx2("RMCRT_FORCE_AVX2", "1");
+    body();
+  }
+}
+
+/// A refined stack over the unit cube: level 0 is the finest (16^3),
+/// each later level coarsens the one before by \p ratios. Every level
+/// but the last marches only its `allowed` box (a centered region of
+/// interest), so rays hand off level by level.
+struct LevelStack {
+  std::vector<CCVariable<double>> abskg, sig;
+  std::vector<CCVariable<CellType>> ct;
+  std::vector<LevelGeom> geoms;
+  std::vector<CellRange> allowed;
+  WallProperties walls;
+
+  LevelStack(const RadiationProblem& prob, const std::vector<int>& ratios,
+             const std::vector<CellRange>& rois)
+      : walls{prob.wallSigmaT4OverPi, prob.wallEmissivity} {
+    auto grid = Grid::makeSingleLevel(Vector(0.0), Vector(1.0), IntVector(16),
+                                      IntVector(16));
+    const grid::Level& fine = grid->fineLevel();
+    abskg.emplace_back(fine.cells(), 0.0);
+    sig.emplace_back(fine.cells(), 0.0);
+    ct.emplace_back(fine.cells(), CellType::Flow);
+    initializeProperties(fine, prob, abskg[0], sig[0], ct[0]);
+    geoms.push_back(LevelGeom::from(fine));
+    for (const int r : ratios) {
+      const LevelGeom& finer = geoms.back();
+      const IntVector rr(r);
+      const CellRange cells(IntVector(0), finer.cells.high() / rr);
+      const std::size_t k = geoms.size();
+      abskg.emplace_back(cells, 0.0);
+      sig.emplace_back(cells, 0.0);
+      ct.emplace_back(cells, CellType::Flow);
+      grid::coarsenAverage(abskg[k - 1], rr, abskg[k], cells);
+      grid::coarsenAverage(sig[k - 1], rr, sig[k], cells);
+      grid::coarsenCellType(ct[k - 1], rr, ct[k], cells);
+      geoms.push_back(LevelGeom{finer.physLow, finer.dx * Vector(r), cells});
+    }
+    allowed = rois;
+    allowed.push_back(geoms.back().cells);
+  }
+
+  Tracer makeTracer(bool simd, TraceConfig cfg = TraceConfig{}) const {
+    cfg.useSimd = simd;
+    std::vector<TraceLevel> levels;
+    for (std::size_t k = 0; k < geoms.size(); ++k)
+      levels.emplace_back(
+          geoms[k],
+          RadiationFieldsView{FieldView<double>::fromHost(abskg[k]),
+                              FieldView<double>::fromHost(sig[k]),
+                              FieldView<CellType>::fromHost(ct[k])},
+          allowed[k]);
+    return Tracer(std::move(levels), walls, cfg);
+  }
+};
+
+/// The two-level fixture: 16^3 fine with a small centered ROI (most rays
+/// hand off), 4^3 coarse. The ROI faces lie on coarse faces, as the
+/// pipeline's patch + halo boxes do when patch and halo are multiples of
+/// the refinement ratio, so handed-off rays start exactly on a coarse
+/// face.
+LevelStack twoLevelStack(const RadiationProblem& prob = burnsChriston()) {
+  return LevelStack(prob, {4}, {CellRange(IntVector(4), IntVector(12))});
 }
 
 TEST(SimdMarch, DispatchMatchesRuntimeSupport) {
@@ -264,56 +382,242 @@ TEST(SimdMarch, SegmentCountsAgreeWithScalar) {
   const auto b = static_cast<std::int64_t>(scalar.segmentCount());
   EXPECT_LE(std::abs(a - b), n);
   EXPECT_GT(a, 0);
+
+  // Two levels with ROI exits: the handoff position and the coarse DDA
+  // are the scalar march's, operation for operation, so the counts must
+  // agree exactly on both kernels. (A handoff position rounded by an FMA
+  // lands next to the coarse face instead of on it, and the ray counts a
+  // sliver of a crossing the scalar march skips as zero-length.)
+  const LevelStack stack = twoLevelStack();
+  forEachPacketKernel([&] {
+    Tracer simd2 = stack.makeTracer(true);
+    Tracer scalar2 = stack.makeTracer(false);
+    std::vector<Vector> o2, d2;
+    const int n2 = 2000;
+    makeRayBundle(n2, o2, d2);
+    for (Vector& o : o2)  // start inside the ROI so the rays exit it
+      o = Vector(0.25) + (o - Vector(0.05)) * (0.5 / 0.9);
+    std::vector<double> out2(static_cast<std::size_t>(n2));
+    simd2.traceRays(n2, o2.data(), d2.data(), out2.data());
+    scalar2.traceRays(n2, o2.data(), d2.data(), out2.data());
+    EXPECT_EQ(simd2.segmentCount(), scalar2.segmentCount());
+  });
 }
 
 TEST(SimdMarch, TwoLevelHandoffParity) {
-  // Fine ROI + coarse continuation: rays leaving the fine allowed box
-  // retire from the packet and finish on the coarse level through the
-  // scalar march — intensities must still match the all-scalar result
-  // within the ULP budget.
-  auto grid = Grid::makeTwoLevel(Vector(0.0), Vector(1.0), IntVector(16),
-                                 IntVector(4), IntVector(16), IntVector(4));
-  const grid::Level& fine = grid->fineLevel();
-  const grid::Level& coarse = grid->coarseLevel();
-  RadiationProblem prob = burnsChriston();
-  CCVariable<double> fAbs(fine.cells(), 0.0), fSig(fine.cells(), 0.0);
-  CCVariable<CellType> fCt(fine.cells(), CellType::Flow);
-  initializeProperties(fine, prob, fAbs, fSig, fCt);
-  CCVariable<double> cAbs(coarse.cells(), 0.0), cSig(coarse.cells(), 0.0);
-  CCVariable<CellType> cCt(coarse.cells(), CellType::Flow);
-  grid::coarsenAverage(fAbs, fine.refinementRatio(), cAbs, coarse.cells());
-  grid::coarsenAverage(fSig, fine.refinementRatio(), cSig, coarse.cells());
-  grid::coarsenCellType(fCt, fine.refinementRatio(), cCt, coarse.cells());
-
-  // Small ROI in the middle of the fine level so most rays hand off.
-  const CellRange roi(IntVector(5, 5, 5), IntVector(11, 11, 11));
-  const WallProperties walls{prob.wallSigmaT4OverPi, prob.wallEmissivity};
-  auto makeTracer = [&](bool simdOn) {
+  // Fine ROI + coarse continuation: rays leaving the fine allowed box go
+  // into the handoff buffer and finish in the coarse level's packet pass
+  // — intensities must still match the all-scalar result within the ULP
+  // budget, and the marching work must match exactly. The three-level
+  // stack hands rays off twice (fine ROI -> mid-level ROI -> coarse).
+  const LevelStack two = twoLevelStack();
+  const LevelStack three(burnsChriston(), {2, 2},
+                         {CellRange(IntVector(4), IntVector(12)),
+                          CellRange(IntVector(1), IntVector(7))});
+  for (const LevelStack* stack : {&two, &three}) {
+    SCOPED_TRACE(std::to_string(stack->geoms.size()) + " levels");
     TraceConfig cfg;
     cfg.nDivQRays = 32;
     cfg.seed = 5;
-    cfg.useSimd = simdOn;
-    TraceLevel fineTL{LevelGeom::from(fine),
-                      RadiationFieldsView{FieldView<double>::fromHost(fAbs),
-                                          FieldView<double>::fromHost(fSig),
-                                          FieldView<CellType>::fromHost(fCt)},
-                      roi};
-    TraceLevel coarseTL{
-        LevelGeom::from(coarse),
-        RadiationFieldsView{FieldView<double>::fromHost(cAbs),
-                            FieldView<double>::fromHost(cSig),
-                            FieldView<CellType>::fromHost(cCt)},
-        coarse.cells()};
-    return Tracer({fineTL, coarseTL}, walls, cfg);
-  };
-  const Tracer simd = makeTracer(true);
-  const Tracer scalar = makeTracer(false);
-  for (const IntVector& c :
-       {IntVector(8, 8, 8), IntVector(6, 9, 10), IntVector(10, 5, 7)}) {
-    const double a = simd.meanIncomingIntensity(c);
-    const double b = scalar.meanIncomingIntensity(c);
-    EXPECT_LE(ulpDistance(a, b), kUlpTolerance) << "cell " << c;
+    const Tracer simd = stack->makeTracer(true, cfg);
+    const Tracer scalar = stack->makeTracer(false, cfg);
+    for (const IntVector& c :
+         {IntVector(8, 8, 8), IntVector(6, 9, 10), IntVector(10, 5, 7)}) {
+      const double a = simd.meanIncomingIntensity(c);
+      const double b = scalar.meanIncomingIntensity(c);
+      EXPECT_LE(ulpDistance(a, b), kUlpTolerance) << "cell " << c;
+    }
+    EXPECT_EQ(simd.segmentCount(), scalar.segmentCount());
   }
+}
+
+// ---------------------------------------------------------------------
+// Ray-stream invariance (DESIGN.md §14): a ray's result depends on the
+// ray alone — not on the stream, packet or lane it lands in, the tile it
+// belongs to, the thread that traces it, or the packet kernel's ISA — so
+// divQ is bitwise identical across all of those. The fixture puts wall
+// cells on both levels, so wall retirement and the coarse handoff both
+// run inside the packet passes.
+
+/// Burns-Christon with a wall block at [0.25, 0.5)^3 (fine cells 4..7,
+/// the coarse cell 1 at ratio 4) and hot, grey domain walls.
+RadiationProblem walledProblem() {
+  RadiationProblem p = burnsChriston();
+  p.isWall = [](const Vector& x) {
+    return x.x() >= 0.25 && x.x() < 0.5 && x.y() >= 0.25 && x.y() < 0.5 &&
+           x.z() >= 0.25 && x.z() < 0.5;
+  };
+  p.wallSigmaT4OverPi = 0.3;
+  p.wallEmissivity = 0.9;
+  return p;
+}
+
+bool sameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+void expectSameDivQ(const CCVariable<double>& a, const CCVariable<double>& b) {
+  for (const IntVector& c : a.window())
+    ASSERT_TRUE(sameBits(a[c], b[c]))
+        << "cell " << c << ": " << a[c] << " vs " << b[c];
+}
+
+/// The 8^3 patch at the origin with 3 cells of halo as its ROI: the wall
+/// block sits inside the ROI, and most rays still leave it for the
+/// coarse level.
+LevelStack walledTwoLevelStack() {
+  return LevelStack(walledProblem(), {4},
+                    {CellRange(IntVector(0), IntVector(11))});
+}
+
+TEST(RayStreams, DivQBitwiseAcrossStreamsTilesAndThreads) {
+  const LevelStack stack = walledTwoLevelStack();
+  const CellRange patch(IntVector(0), IntVector(8));
+  TraceConfig base;
+  base.nDivQRays = 12;
+  base.seed = 7;
+  ThreadPool pool2(2), pool4(4);
+
+  for (const bool adaptive : {false, true}) {
+    SCOPED_TRACE(adaptive ? "adaptive budgets" : "fixed fan");
+    TraceConfig cfg = base;
+    cfg.adaptiveRays = adaptive;
+    cfg.nPilotRays = 4;
+    cfg.errorTarget = 0.05;
+    const Tracer ref = stack.makeTracer(true, cfg);
+    ASSERT_TRUE(ref.levels()[0].packed.hasWalls());
+    ASSERT_TRUE(ref.levels()[1].packed.hasWalls());
+    CCVariable<double> want(patch, 0.0);
+    ref.computeDivQ(patch, MutableFieldView<double>::fromHost(want));
+
+    // Tiles set the streams: an 8^3 tile is 6144 rays, six streams with
+    // cells straddling stream ends; a 3x2x5 tile is one 360-ray stream;
+    // a one-cell tile is one 12-ray stream, the old per-cell bundle.
+    // Thread pools shrink the tiles further (adaptiveTileSize).
+    for (const IntVector& tile :
+         {IntVector(8), IntVector(3, 2, 5), IntVector(1)}) {
+      for (ThreadPool* pool :
+           {static_cast<ThreadPool*>(nullptr), &pool2, &pool4}) {
+        SCOPED_TRACE("tile x " + std::to_string(tile.x()) + " threads " +
+                     std::to_string(pool != nullptr ? pool->size() : 1));
+        TraceConfig c = cfg;
+        c.tileSize = tile;
+        const Tracer t = stack.makeTracer(true, c);
+        CCVariable<double> got(patch, 0.0);
+        t.computeDivQ(patch, MutableFieldView<double>::fromHost(got), pool);
+        expectSameDivQ(got, want);
+      }
+    }
+  }
+
+  // A traceRays call longer than a stream marches a stream at a time;
+  // each ray's result equals tracing it alone.
+  const Tracer single = stack.makeTracer(true, base);
+  std::vector<Vector> origins, dirs;
+  makeRayBundle(2500, origins, dirs);
+  std::vector<double> whole(origins.size());
+  single.traceRays(2500, origins.data(), dirs.data(), whole.data());
+  for (std::size_t k = 0; k < whole.size(); ++k) {
+    double alone = 0.0;
+    single.traceRays(1, &origins[k], &dirs[k], &alone);
+    EXPECT_TRUE(sameBits(alone, whole[k])) << "ray " << k;
+  }
+
+  // meanIncomingIntensity traces one cell as its own stream; the divQ
+  // formula over it reproduces the tile-stream value bitwise.
+  const Tracer t = stack.makeTracer(true, base);
+  CCVariable<double> divQ(patch, 0.0);
+  t.computeDivQ(patch, MutableFieldView<double>::fromHost(divQ));
+  for (const IntVector& c :
+       {IntVector(0, 0, 0), IntVector(3, 3, 3), IntVector(7, 2, 5)}) {
+    const PackedCell& rec = t.levels()[0].packed[c];
+    const double meanI = t.meanIncomingIntensity(c);
+    EXPECT_TRUE(sameBits(
+        divQ[c], 4.0 * M_PI * rec.abskg * (rec.sigmaT4OverPi - meanI)))
+        << "cell " << c;
+  }
+}
+
+TEST(RayStreams, PacketKernelsAgreeBitwise) {
+  // The AVX2 kernel (two 4-lane halves) and the AVX-512 kernel (two
+  // interleaved 8-lane packets) perform the same IEEE operations per
+  // ray, with FP contraction off, so their results are bitwise equal —
+  // on every level and through the handoff.
+  const LevelStack stack = walledTwoLevelStack();
+  const CellRange patch(IntVector(0), IntVector(8));
+  TraceConfig cfg;
+  cfg.nDivQRays = 12;
+  cfg.seed = 9;
+  std::vector<Vector> origins, dirs;
+  makeRayBundle(203, origins, dirs);
+  std::vector<CCVariable<double>> divQ;
+  std::vector<std::vector<double>> bundles;
+  std::vector<std::uint64_t> segments;
+  forEachPacketKernel([&] {
+    const Tracer t = stack.makeTracer(true, cfg);
+    divQ.emplace_back(patch, 0.0);
+    t.computeDivQ(patch, MutableFieldView<double>::fromHost(divQ.back()));
+    bundles.emplace_back(origins.size());
+    t.traceRays(static_cast<int>(origins.size()), origins.data(),
+                dirs.data(), bundles.back().data());
+    segments.push_back(t.segmentCount());
+  });
+  ASSERT_EQ(divQ.size(), 2u);
+  expectSameDivQ(divQ[1], divQ[0]);
+  for (std::size_t i = 0; i < origins.size(); ++i)
+    EXPECT_TRUE(sameBits(bundles[1][i], bundles[0][i])) << "ray " << i;
+  EXPECT_EQ(segments[1], segments[0]);
+}
+
+TEST(RayStreams, GpuPipelineMatchesSerialBitwiseWithWalls) {
+  // The simulated-GPU kernel traces each 8^3 patch as one serial stream
+  // over device-resident records; the serial solver tiles the same
+  // patches on the host. Same rays, same arithmetic: bitwise equal.
+  auto grid = Grid::makeTwoLevel(Vector(0.0), Vector(1.0), IntVector(16),
+                                 IntVector(4), IntVector(8), IntVector(4));
+  RmcrtSetup setup;
+  setup.problem = walledProblem();
+  setup.trace.nDivQRays = 12;
+  setup.trace.seed = 21;
+  setup.roiHalo = 3;
+  const int numRanks = 2;
+  auto lb = std::make_shared<grid::LoadBalancer>(*grid, numRanks);
+  comm::Communicator world(numRanks);
+  std::vector<std::unique_ptr<gpu::GpuDevice>> devices;
+  std::vector<std::unique_ptr<gpu::GpuDataWarehouse>> gdws;
+  std::vector<std::unique_ptr<runtime::Scheduler>> scheds;
+  for (int r = 0; r < numRanks; ++r) {
+    gpu::GpuDevice::Config dc;
+    dc.globalMemoryBytes = 256 << 20;
+    devices.push_back(std::make_unique<gpu::GpuDevice>(dc));
+    gdws.push_back(std::make_unique<gpu::GpuDataWarehouse>(*devices.back()));
+    scheds.push_back(
+        std::make_unique<runtime::Scheduler>(grid, lb, world, r));
+  }
+  std::vector<std::thread> threads;
+  for (int r = 0; r < numRanks; ++r)
+    threads.emplace_back([&, r] {
+      RmcrtComponent::registerTwoLevelGpuPipeline(*scheds[r], setup,
+                                                  *gdws[r]);
+      scheds[r]->executeTimestep();
+    });
+  for (std::thread& t : threads) t.join();
+
+  const CCVariable<double> serial =
+      RmcrtComponent::solveSerialTwoLevel(*grid, setup);
+  const int fine = grid->numLevels() - 1;
+  int patches = 0;
+  for (auto& s : scheds)
+    for (const int pid :
+         s->loadBalancer().patchesOf(s->rank(), *grid, fine)) {
+      const auto& divQ = s->newDW().get<double>(RmcrtLabels::divQ, pid);
+      for (const IntVector& c : grid->patchById(pid)->cells())
+        ASSERT_TRUE(sameBits(divQ[c], serial[c]))
+            << "patch " << pid << " cell " << c;
+      ++patches;
+    }
+  EXPECT_EQ(patches, 8);
+  for (auto& dev : devices) EXPECT_EQ(dev->stats().cpuFallbacks, 0u);
 }
 
 TEST(SimdMarch, ScalarPathUnchangedByDispatchMachinery) {
