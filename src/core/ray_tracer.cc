@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/dda.h"
 #include "core/spectral.h"
 #include "util/metrics.h"
 #include "util/stats.h"
@@ -15,11 +16,6 @@
 namespace rmcrt::core {
 
 namespace {
-
-/// Infinity-safe division used to set up the DDA.
-double safeDiv(double num, double den) {
-  return den == 0.0 ? std::numeric_limits<double>::infinity() : num / den;
-}
 
 /// Registry references resolved once; per-tile bumps are single relaxed
 /// atomic adds (same cost class as the existing m_segments flush).
@@ -42,24 +38,9 @@ MetricsCounter& tracerSegmentsSavedCounter() {
   return c;
 }
 
-/// A level-0 cell's absorption coefficient and emission, from the packed
-/// records when the level carries them (bitwise the same values).
-struct CellSource {
-  double abskg;
-  double sigmaT4OverPi;
-};
-
-CellSource sourceOf(const TraceLevel& L, const IntVector& c) {
-  if (L.packed.valid()) {
-    const PackedCell& rec = L.packed[c];
-    return {rec.abskg, rec.sigmaT4OverPi};
-  }
-  return {L.fields.abskg[c], L.fields.sigmaT4OverPi[c]};
-}
-
-/// divQ = 4 pi kappa (sigmaT4/pi - mean incoming intensity), with the
-/// band scale on kappa (paper Eq. 2).
-double divQOf(const CellSource& src, double kappaScale, double meanI) {
+/// divQ = 4 pi kappa (sigmaT4/pi - mean incoming intensity) of a level-0
+/// cell's record, with the band scale on kappa (paper Eq. 2).
+double divQOf(const PackedCell& src, double kappaScale, double meanI) {
   return 4.0 * M_PI * (src.abskg * kappaScale) * (src.sigmaT4OverPi - meanI);
 }
 
@@ -170,63 +151,49 @@ Tracer::Tracer(std::vector<TraceLevel> levels, const WallProperties& walls,
           std::to_string(m_cfg.nMaxRays) +
           "): 0 means cap budgets at nDivQRays");
   }
-  if (!m_cfg.usePackedFields) {
-    // Legacy layout requested: drop packed views wherever the separate
-    // property views can serve instead. Packed-only levels (the GPU
-    // kernel's device records) keep marching packed.
-    for (TraceLevel& L : m_levels)
-      if (L.fields.abskg.valid()) L.packed = PackedFieldView();
-    return;
-  }
-  m_ownedPacked.reserve(m_levels.size());
-  for (TraceLevel& L : m_levels) {
-    if (L.packed.valid() || !L.fields.abskg.valid()) continue;
-    m_ownedPacked.emplace_back(L.fields);
-    L.packed = m_ownedPacked.back().view();
+  packLevels(m_levels, m_ownedPacked);
+}
+
+void packLevels(std::vector<TraceLevel>& levels,
+                std::vector<PackedLevelField>& owned) {
+  owned.reserve(owned.size() + levels.size());
+  for (TraceLevel& L : levels) {
+    if (L.packed.valid()) continue;
+    if (!L.fields.abskg.valid() || !L.fields.sigmaT4OverPi.valid())
+      throw std::invalid_argument(
+          "TraceLevel carries neither packed records nor the property "
+          "views to pack them from");
+    owned.emplace_back(L.fields);
+    L.packed = owned.back().view();
   }
 }
 
 bool Tracer::marchLevel(std::size_t li, Vector& pos, const Vector& dir,
                         double& sumI, double& transmissivity,
                         std::uint64_t& segments) const {
-  return m_levels[li].packed.valid()
-             ? marchLevelPacked(li, pos, dir, sumI, transmissivity, segments)
-             : marchLevelLegacy(li, pos, dir, sumI, transmissivity, segments);
-}
-
-bool Tracer::marchLevelPacked(std::size_t li, Vector& pos, const Vector& dir,
-                              double& sumI, double& transmissivity,
-                              std::uint64_t& segments) const {
   const TraceLevel& L = m_levels[li];
   const LevelGeom& g = L.geom;
 
-  IntVector start = g.cellAt(pos);
-  // Clamp marginal float error at the handoff point.
-  start = max(min(start, L.allowed.high() - IntVector(1)), L.allowed.low());
-
-  // Amanatides-Woo setup: distance along the ray to the next cell face in
-  // each axis (tMax) and per-cell crossing distances (tDelta). Everything
-  // the segment loop touches lives in small stack arrays (the compiler
-  // keeps the FP state in registers) rather than IntVector/Vector.
-  int cur[3], step[3], lo[3], hi[3];
-  double tMax[3], tDelta[3];
+  // Amanatides-Woo setup (shared with the packet march): distance along
+  // the ray to the next cell face in each axis (tMax) and per-cell
+  // crossing distances (tDelta). Everything the segment loop touches
+  // lives in small stack arrays (the compiler keeps the FP state in
+  // registers) rather than IntVector/Vector.
+  DdaStart s = ddaStart(L, pos, dir);
+  int* const cur = s.cell;
+  const int* const step = s.step;
+  double* const tMax = s.tMax;
+  const double* const tDelta = s.tDelta;
+  int lo[3], hi[3];
   for (int i = 0; i < 3; ++i) {
-    cur[i] = start[i];
-    step[i] = dir[i] >= 0.0 ? 1 : -1;
     lo[i] = L.allowed.low()[i];
     hi[i] = L.allowed.high()[i];
-    tDelta[i] = safeDiv(g.dx[i], std::abs(dir[i]));
-    const double planeCoord =
-        g.physLow[i] +
-        (cur[i] - g.cells.low()[i] + (dir[i] >= 0.0 ? 1 : 0)) * g.dx[i];
-    tMax[i] = safeDiv(planeCoord - pos[i], dir[i]);
-    if (tMax[i] < 0.0) tMax[i] = 0.0;  // float slop at the boundary
   }
 
   // Incremental-stride DDA state: resolve the 3-D index once, then bump
   // the record pointer by the pre-signed axis stride on each crossing.
   const PackedFieldView& pf = L.packed;
-  const PackedCell* cell = &pf[start];
+  const PackedCell* cell = &pf[IntVector(cur[0], cur[1], cur[2])];
   std::int64_t stepOffset[3];
   for (int i = 0; i < 3; ++i) stepOffset[i] = pf.stride(i) * step[i];
 
@@ -250,8 +217,7 @@ bool Tracer::marchLevelPacked(std::size_t li, Vector& pos, const Vector& dir,
     // and close to uniformly random, so the naive two-compare `if` chain
     // mispredicts on most crossings — selecting via conditional moves
     // costs a couple of cmovs instead of a ~15-cycle flush. The
-    // tie-breaking (x wins over y wins over z) and every FP value are
-    // identical to the legacy march.
+    // tie-breaking is x wins over y wins over z.
     const double t0 = tMax[0], t1 = tMax[1], t2 = tMax[2];
     const int yBeforeX = t1 < t0;
     const double m01 = t1 < t0 ? t1 : t0;    // minsd
@@ -263,8 +229,7 @@ bool Tracer::marchLevelPacked(std::size_t li, Vector& pos, const Vector& dir,
     const double segLen = tNext - tCur;
 
     // Absorb + emit along the segment (paper Eq. 2 without scattering):
-    // one cache-line-local record load instead of three strided array
-    // reads; the FP sequence matches the legacy path exactly.
+    // one cache-line-local record load per crossing.
     const double expSeg = std::exp(-(rec.abskg * kappaScale) * segLen);
     sumI += rec.sigmaT4OverPi * (1.0 - expSeg) * transmissivity;
     transmissivity *= expSeg;
@@ -278,8 +243,7 @@ bool Tracer::marchLevelPacked(std::size_t li, Vector& pos, const Vector& dir,
 
     if (transmissivity < threshold) return true;  // extinguished
 
-    // Advance to the next cell: tMax[axis] == tNext here, so the += of
-    // the legacy path is the same value as this store.
+    // Advance to the next cell: tMax[axis] == tNext here.
     tCur = tNext;
     const int stepped = cur[axis] + step[axis];
     cur[axis] = stepped;
@@ -304,89 +268,6 @@ bool Tracer::marchLevelPacked(std::size_t li, Vector& pos, const Vector& dir,
       return false;
     }
     cell += stepOffset[axis];
-  }
-}
-
-bool Tracer::marchLevelLegacy(std::size_t li, Vector& pos, const Vector& dir,
-                              double& sumI, double& transmissivity,
-                              std::uint64_t& segments) const {
-  const TraceLevel& L = m_levels[li];
-  const LevelGeom& g = L.geom;
-
-  IntVector cur = g.cellAt(pos);
-  // Clamp marginal float error at the handoff point.
-  cur = max(min(cur, L.allowed.high() - IntVector(1)), L.allowed.low());
-
-  // Amanatides-Woo setup: distance along the ray to the next cell face in
-  // each axis (tMax) and per-cell crossing distances (tDelta).
-  IntVector step;
-  Vector tMax, tDelta;
-  for (int i = 0; i < 3; ++i) {
-    step[i] = dir[i] >= 0.0 ? 1 : -1;
-    tDelta[i] = safeDiv(g.dx[i], std::abs(dir[i]));
-    const double planeCoord =
-        g.physLow[i] +
-        (cur[i] - g.cells.low()[i] + (dir[i] >= 0.0 ? 1 : 0)) * g.dx[i];
-    tMax[i] = safeDiv(planeCoord - pos[i], dir[i]);
-    if (tMax[i] < 0.0) tMax[i] = 0.0;  // float slop at the boundary
-  }
-
-  double tCur = 0.0;
-  const double threshold = m_cfg.threshold;
-  const double kappaScale = m_cfg.kappaScale;
-
-  for (;;) {
-    // A wall cell absorbs the ray: add its emission seen through the
-    // accumulated transmissivity.
-    if (L.fields.cellType.valid() &&
-        L.fields.cellType[cur] == grid::CellType::Wall) {
-      sumI += m_walls.emissivity * L.fields.sigmaT4OverPi[cur] *
-              transmissivity;
-      return true;
-    }
-
-    // Segment length inside the current cell.
-    int axis = 0;
-    if (tMax.y() < tMax[axis]) axis = 1;
-    if (tMax.z() < tMax[axis]) axis = 2;
-    const double segLen = tMax[axis] - tCur;
-
-    // Absorb + emit along the segment (paper Eq. 2 without scattering):
-    // contribution = sigmaT4/pi * (1 - e^{-kappa ds}) attenuated by the
-    // transmissivity accumulated so far.
-    const double kappa = L.fields.abskg[cur] * kappaScale;
-    const double expSeg = std::exp(-kappa * segLen);
-    sumI += L.fields.sigmaT4OverPi[cur] * (1.0 - expSeg) * transmissivity;
-    transmissivity *= expSeg;
-    // Skip zero-length crossings in the count (see the packed march);
-    // scalar, legacy and SIMD paths all apply the same rule.
-    segments += (segLen != 0.0);
-
-    if (transmissivity < threshold) return true;  // extinguished
-
-    // Advance to the next cell.
-    tCur = tMax[axis];
-    cur[axis] += step[axis];
-    tMax[axis] += tDelta[axis];
-
-    if (!L.allowed.contains(cur)) {
-      if (!g.cells.contains(cur)) {
-        // Left the physical domain: the boundary is a wall.
-        sumI += m_walls.emissivity * m_walls.sigmaT4OverPi * transmissivity;
-        return true;
-      }
-      // Left the region of interest but not the domain: continue on the
-      // next coarser level from the crossing position.
-      if (li + 1 >= m_levels.size()) {
-        // No coarser level (single-level tracer whose allowed box is the
-        // whole level never reaches here; a restricted single-level ROI
-        // treats the ROI edge as domain exit).
-        sumI += m_walls.emissivity * m_walls.sigmaT4OverPi * transmissivity;
-        return true;
-      }
-      pos = pos + dir * tCur;
-      return false;
-    }
   }
 }
 
@@ -524,7 +405,7 @@ void Tracer::computeDivQTile(const CellRange& tile,
       [&sums](std::size_t i, double I) { sums[i] += I; }, segments);
   std::size_t i = 0;
   for (const IntVector& c : tile)
-    divQ[c] = divQOf(sourceOf(m_levels.front(), c), m_cfg.kappaScale,
+    divQ[c] = divQOf(m_levels.front().packed[c], m_cfg.kappaScale,
                      sums[i++] / static_cast<double>(m_cfg.nDivQRays));
   flushSegments(segments);
   const std::uint64_t rays =
@@ -587,7 +468,7 @@ void Tracer::computeDivQTileAdaptive(const CellRange& tile,
     for (const IntVector& c : tile) {
       CellState& cs = states[i++];
       cs.budget = adaptiveBudget(cs.pilot.mean(), cs.pilot.stddev(),
-                                 sourceOf(L0, c).sigmaT4OverPi);
+                                 L0.packed[c].sigmaT4OverPi);
     }
   }
 
@@ -608,7 +489,7 @@ void Tracer::computeDivQTileAdaptive(const CellRange& tile,
     std::size_t i = 0;
     for (const IntVector& c : tile) {
       const CellState& cs = states[i++];
-      divQ[c] = divQOf(sourceOf(L0, c), m_cfg.kappaScale,
+      divQ[c] = divQOf(L0.packed[c], m_cfg.kappaScale,
                        cs.sum / static_cast<double>(cs.budget));
       raysTraced += static_cast<std::uint64_t>(cs.budget);
       tileMaxBudget =

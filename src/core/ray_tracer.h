@@ -34,9 +34,9 @@ namespace rmcrt {
 class ThreadPool;
 }
 
-/// Whether this build carries the AVX2 packet-march path at all (the
-/// function-level `target("avx2,fma")` attribute keeps the rest of the
-/// binary baseline-ISA, so carrying the path never requires -mavx2).
+/// Whether this build carries the packet march at all (its `#pragma GCC
+/// target` regions keep the rest of the binary baseline-ISA, so carrying
+/// it never requires -mavx2).
 /// Runtime dispatch (Tracer::simdSupported) decides whether to call it.
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define RMCRT_SIMD_X86 1
@@ -97,25 +97,18 @@ struct TraceConfig {
   /// aggregation: one atomic add per tile, none in the march loop. The
   /// default keeps a tile's field data within L1/L2 reach.
   IntVector tileSize = IntVector(8, 8, 8);
-  /// March over fused PackedCell records with an incremental-stride DDA
-  /// (the default; bitwise identical to the legacy three-view path) or
-  /// over the separate property views (the pre-packing layout, kept for
-  /// the bench_rmcrt_kernel --packed/--unpacked A/B and for regression
-  /// hunting). Levels that only supply packed records (the simulated-GPU
-  /// kernel) march packed regardless.
-  bool usePackedFields = true;
-  /// March rays 8 at a time in lockstep (marchPacket8, DESIGN.md §14)
-  /// when the host supports AVX2+FMA and every level carries packed
-  /// records — the default. Every divQ tile streams all of its (cell,
-  /// ray) pairs through the packet kernel, and rays leaving a level's
-  /// `allowed` box continue on the next level in the same kernel. The
-  /// packet march uses a vectorized exp, so it agrees with the scalar
-  /// march (the reference, kept on hosts without AVX2, under
-  /// RMCRT_NO_SIMD=1 and with this set false) within a documented ULP
-  /// tolerance, not bitwise. A ray's result does not depend on its
-  /// stream, packet or lane, and the AVX2 and AVX-512 kernels agree
-  /// bitwise, so results are reproducible across thread counts, tilings
-  /// and SIMD hosts.
+  /// March rays in lockstep packets, one vector lane per ray (the
+  /// packet march, DESIGN.md §14), when the host supports AVX2+FMA —
+  /// the default. Every divQ tile streams all of its (cell, ray) pairs
+  /// through the packet pass, and rays leaving a level's `allowed` box
+  /// continue on the next level in the same pass. The packet march uses
+  /// a vectorized exp, so it agrees with the scalar march (the
+  /// reference, kept on hosts without AVX2, under RMCRT_NO_SIMD=1 and
+  /// with this set false) within a documented ULP tolerance, not
+  /// bitwise. A ray's result does not depend on its stream, packet or
+  /// lane, and the AVX2 and AVX-512 instantiations agree bitwise, so
+  /// results are reproducible across thread counts, tilings and SIMD
+  /// hosts.
   bool useSimd = true;
   /// Rays per boundaryFlux / radiometer query. Historically these fans
   /// inherited nDivQRays; wall heat-flux QoIs usually want a different
@@ -190,12 +183,22 @@ struct TraceLevel {
   /// ray to the next (coarser) entry, or to the wall if none remains.
   /// Must lie within the property windows.
   CellRange allowed;
-  /// Fused property records covering the same window as `fields`. Leave
-  /// invalid to have the Tracer pack (and own) the records itself at
-  /// construction; supply one to share packing across Tracers — the
-  /// adaptive pipeline's PackedLevelCache and the GPU level database.
+  /// Fused property records covering the same window as `fields` — what
+  /// both marches read. Leave invalid to have packLevels fuse them from
+  /// `fields`; supply one to share packing across Tracers — the adaptive
+  /// pipeline's PackedLevelCache and the GPU level database.
   PackedFieldView packed;
 };
+
+/// Fuse PackedCell records for every level of \p levels that carries
+/// none, appending their storage to \p owned (which must outlive the
+/// views; moving the outer vector never moves the record buffers). Used
+/// by the Tracer and SpectralTracer constructors, so every level a march
+/// sees carries records.
+/// \throws std::invalid_argument for a level with neither records nor
+/// the abskg/sigmaT4OverPi views to pack them from.
+void packLevels(std::vector<TraceLevel>& levels,
+                std::vector<PackedLevelField>& owned);
 
 /// The RMCRT tracer over a fine->coarse stack of levels.
 ///
@@ -206,9 +209,8 @@ struct TraceLevel {
 class Tracer {
  public:
   /// Levels whose `packed` view is unset are fused into Tracer-owned
-  /// PackedCell arrays here (and the owned storage lives as long as the
-  /// Tracer), unless cfg.usePackedFields is off — then legacy-capable
-  /// levels march the separate views instead.
+  /// PackedCell arrays here (packLevels; the owned storage lives as long
+  /// as the Tracer).
   /// \throws std::invalid_argument when cfg.nDivQRays <= 0: the divQ
   /// estimator divides by nDivQRays, so a non-positive count would
   /// silently fill divQ with NaN/inf.
@@ -224,21 +226,16 @@ class Tracer {
   static bool simdSupported();
 
   /// Name of the instruction set the packet march would use on this
-  /// host: "avx512" (AVX-512 F/DQ/VL/BW kernel, 8 lanes per register),
-  /// "avx2" (two 4-lane halves), or "none" when simdSupported() is
-  /// false. RMCRT_FORCE_AVX2=1 pins an AVX-512 host to the AVX2 kernel
+  /// host: "avx512" (AVX-512 F/DQ/VL/BW, 8 lanes per register), "avx2"
+  /// (4 lanes per register), or "none" when simdSupported() is false.
+  /// RMCRT_FORCE_AVX2=1 pins an AVX-512 host to the AVX2 instantiation
   /// (the CI fallback matrix uses it); RMCRT_NO_SIMD=1 yields "none".
   /// Recorded in the benchmark JSON so speedups compare like for like.
   static const char* simdIsa();
 
-  /// True when traceRays will take the 8-wide packet path: useSimd is
-  /// set, the host qualifies, and every level carries packed records
-  /// (the packet passes march records only).
-  bool simdActive() const {
-    return m_cfg.useSimd && simdSupported() &&
-           std::all_of(m_levels.begin(), m_levels.end(),
-                       [](const TraceLevel& L) { return L.packed.valid(); });
-  }
+  /// True when traceRays will take the packet march: useSimd is set and
+  /// the host qualifies.
+  bool simdActive() const { return m_cfg.useSimd && simdSupported(); }
 
   /// The trace levels this tracer marches (read-only; tests assert the
   /// spectral band tracers alias one shared packed record set).
@@ -355,24 +352,15 @@ class Tracer {
   }
 
  private:
-  /// March within level \p li from physical position \p pos; accumulates
-  /// into sumI/transmissivity and counts cell crossings into the caller's
+  /// March within level \p li from physical position \p pos over its
+  /// packed records with an incremental-stride DDA; accumulates into
+  /// sumI/transmissivity and counts cell crossings into the caller's
   /// local \p segments; returns true if the ray is finished (wall,
   /// threshold or domain exit), false if it left `allowed` and should
-  /// continue on level li+1 at the updated \p pos. Dispatches to the
-  /// packed incremental-stride DDA when the level carries packed records,
-  /// else to the legacy three-view march; both perform the exact same FP
-  /// operations in the exact same order, so results are bitwise
-  /// identical.
+  /// continue on level li+1 at the updated \p pos.
   bool marchLevel(std::size_t li, Vector& pos, const Vector& dir,
                   double& sumI, double& transmissivity,
                   std::uint64_t& segments) const;
-  bool marchLevelPacked(std::size_t li, Vector& pos, const Vector& dir,
-                        double& sumI, double& transmissivity,
-                        std::uint64_t& segments) const;
-  bool marchLevelLegacy(std::size_t li, Vector& pos, const Vector& dir,
-                        double& sumI, double& transmissivity,
-                        std::uint64_t& segments) const;
 
   /// The single flush point for per-tile / per-call segment counts: adds
   /// \p n to both the tracer's own counter and the global metrics
@@ -399,7 +387,7 @@ class Tracer {
   /// handoff buffer with its position, direction, intensity and
   /// transmissivity, and the next level's pass marches that buffer from
   /// the carried state. Runtime dispatch picks the AVX-512 or AVX2
-  /// kernel; both give bitwise-equal results. Callers must check
+  /// instantiation; both give bitwise-equal results. Callers must check
   /// simdActive() first.
   void traceRaysSimd(int n, const Vector* origins, const Vector* dirs,
                      double* out, std::uint64_t& segments) const;

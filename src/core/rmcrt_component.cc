@@ -369,8 +369,8 @@ void runGpuTraceAttempt(const TaskContext& ctx, const PipelineState& st,
                           stream.get());
 
   // ... and ONE fused coarse copy through the level database, shared by
-  // every patch task (paper Section III-C) — a single transfer where the
-  // unpacked layout staged three.
+  // every patch task (paper Section III-C) — a single transfer of the
+  // fused records.
   gpu::DeviceVar& dPackedC = gdw->getOrUploadLevelVarRaw(
       RmcrtLabels::packedRad, 0, coarsePacked.data(), coarsePacked.window(),
       sizeof(PackedCell), pid, stream.get());
@@ -391,8 +391,8 @@ void runGpuTraceAttempt(const TaskContext& ctx, const PipelineState& st,
   const bool fineWalls = finePacked.hasWalls();
   const bool coarseWalls = coarsePacked.hasWalls();
   stream->enqueueKernel([=, &dPackedF, &dPackedC, &dDivQ] {
-    // Packed-only levels: `fields` stays invalid, so the Tracer neither
-    // re-packs nor falls back to the legacy march.
+    // Packed-only levels: `fields` stays invalid and the Tracer marches
+    // the device records as they are.
     TraceLevel fineTL{fineGeom, RadiationFieldsView{}, dPackedF.window,
                       PackedFieldView::fromDevice(dPackedF, fineWalls)};
     TraceLevel coarseTL{coarseGeom, RadiationFieldsView{}, coarseGeom.cells,

@@ -203,19 +203,6 @@ TEST(AdaptiveSampling, BudgetIsPureFunctionOfSeedAndCell) {
   expectBitwiseEqual(whole, assembled);
 }
 
-TEST(AdaptiveSampling, PackedAndLegacyLayoutsAgreeBitwise) {
-  Harness h(burnsChriston());
-  TraceConfig packed = adaptiveCfg();
-  TraceConfig legacy = adaptiveCfg();
-  packed.usePackedFields = true;
-  legacy.usePackedFields = false;
-  // The layout contract is bitwise on the scalar march, which the legacy
-  // layout always takes; the packet march agrees within the ULP budget.
-  packed.useSimd = false;
-  legacy.useSimd = false;
-  expectBitwiseEqual(h.solve(packed), h.solve(legacy));
-}
-
 TEST(AdaptiveSampling, SavesRaysAtBoundedError) {
   Harness h(burnsChriston());
   Tracer fixed = h.makeTracer(fixedCfg());

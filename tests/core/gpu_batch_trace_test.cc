@@ -60,7 +60,7 @@ TEST(GpuBatchTrace, ConcurrentPatchTasksShareLevelDbAndMatchSerial) {
   gpu::GpuDataWarehouse gdw(dev);
 
   // Shared coarse upload happens once, up front (level database): ONE
-  // copy where the unpacked layout staged three.
+  // copy of the fused records.
   gdw.getOrUploadLevelVarRaw(RmcrtLabels::packedRad, 0, coarsePacked.data(),
                              coarsePacked.window(), sizeof(PackedCell));
 

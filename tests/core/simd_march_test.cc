@@ -1,4 +1,4 @@
-/// Equivalence harness for the 8-wide SIMD packet march (marchPacket8,
+/// Equivalence harness for the SIMD packet march (ray_tracer_simd.cc,
 /// DESIGN.md §14) against the scalar packed march — the golden reference.
 ///
 /// The packet path performs the exact same DDA arithmetic as the scalar
@@ -539,10 +539,10 @@ TEST(RayStreams, DivQBitwiseAcrossStreamsTilesAndThreads) {
 }
 
 TEST(RayStreams, PacketKernelsAgreeBitwise) {
-  // The AVX2 kernel (two 4-lane halves) and the AVX-512 kernel (two
-  // interleaved 8-lane packets) perform the same IEEE operations per
-  // ray, with FP contraction off, so their results are bitwise equal —
-  // on every level and through the handoff.
+  // The AVX2 (4-lane) and AVX-512 (8-lane) instantiations of the packet
+  // pass perform the same IEEE operations per ray, with FP contraction
+  // off, so their results are bitwise equal — on every level and through
+  // the handoff.
   const LevelStack stack = walledTwoLevelStack();
   const CellRange patch(IntVector(0), IntVector(8));
   TraceConfig cfg;
