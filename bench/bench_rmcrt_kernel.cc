@@ -583,7 +583,8 @@ void runSnapshotBench(int snapshotEvery, const std::string& jsonPath) {
 ///   - adaptiveRays=false with the knobs set is bitwise the fixed fan
 ///   - adaptiveRays=true with pilot == cap == nDivQRays is bitwise too
 ///     (the pilot is a prefix of the fixed fan, same RNG streams)
-///   - a single {weight=1, kappaScale=1} spectral band is bitwise gray
+///   - a single {weight=1, kappaScale=1} band (cfg.bands = grayBand())
+///     is bitwise gray
 /// The spectral section then runs the WSGG band model, fixed-fan and
 /// adaptive, with per-band throughput from the tracer.band<k> gauges.
 void runAdaptiveSamplingBench(bool smoke, const std::string& jsonPath,
@@ -618,7 +619,7 @@ void runAdaptiveSamplingBench(bool smoke, const std::string& jsonPath,
     for (const auto& c : cells) out.push_back(f[c]);
     return out;
   };
-  const auto solveGray = [&](const TraceConfig& cfg) {
+  const auto solve = [&](const TraceConfig& cfg) {
     Tracer tracer({makeLevel()}, walls, cfg);
     grid::CCVariable<double> divQ(cells, 0.0);
     Solve s;
@@ -634,22 +635,9 @@ void runAdaptiveSamplingBench(bool smoke, const std::string& jsonPath,
     s.divQ = collect(divQ);
     return s;
   };
-  const auto solveSpectral = [&](const TraceConfig& cfg,
-                                 const BandModel& bands) {
-    SpectralTracer tracer({makeLevel()}, walls, cfg, bands);
-    grid::CCVariable<double> divQ(cells, 0.0);
-    Solve s;
-    double best = std::numeric_limits<double>::infinity();
-    for (int r = 0; r < repeats; ++r) {
-      tracer.resetSegmentCount();
-      Timer timer;
-      tracer.computeDivQ(cells, MutableFieldView<double>::fromHost(divQ));
-      best = std::min(best, timer.seconds());
-      s.segments = tracer.segmentCount();
-    }
-    s.msegPerS = static_cast<double>(s.segments) / best / 1e6;
-    s.divQ = collect(divQ);
-    return s;
+  const auto solveSpectral = [&](TraceConfig cfg, const BandModel& bands) {
+    cfg.bands = bands;
+    return solve(cfg);
   };
   const auto bitwise = [](const Solve& a, const Solve& b) {
     return a.divQ == b.divQ;
@@ -667,17 +655,17 @@ void runAdaptiveSamplingBench(bool smoke, const std::string& jsonPath,
   };
 
   // Fixed fan: the reference answer and the segment denominator.
-  const Solve fixed = solveGray(fixedCfg);
+  const Solve fixed = solve(fixedCfg);
 
   // Off-path neutrality: adaptive knobs set but adaptiveRays=false must
   // leave the fixed fan untouched (guards against knob leakage into the
-  // always-on march, e.g. the kappaScale multiply).
+  // always-on march, e.g. the band kappa-scale multiply).
   TraceConfig offCfg = fixedCfg;
   offCfg.adaptiveRays = false;
   offCfg.nPilotRays = 8;
   offCfg.errorTarget = 0.5;
   offCfg.nMaxRays = 32;
-  const bool offIdentical = bitwise(solveGray(offCfg), fixed);
+  const bool offIdentical = bitwise(solve(offCfg), fixed);
 
   // Saturated controller: pilot == cap == nDivQRays traces exactly the
   // fixed fan (pilot rays are a prefix of it, same counter-based RNG
@@ -686,7 +674,7 @@ void runAdaptiveSamplingBench(bool smoke, const std::string& jsonPath,
   satCfg.adaptiveRays = true;
   satCfg.nPilotRays = rays;
   satCfg.nMaxRays = rays;
-  const bool satIdentical = bitwise(solveGray(satCfg), fixed);
+  const bool satIdentical = bitwise(solve(satCfg), fixed);
 
   // The calibrated operating point.
   TraceConfig adCfg = fixedCfg;
@@ -694,7 +682,7 @@ void runAdaptiveSamplingBench(bool smoke, const std::string& jsonPath,
   adCfg.nPilotRays = pilotRays;
   adCfg.errorTarget = errorTarget;
   adCfg.nMaxRays = 0;  // cap at nDivQRays
-  const Solve adaptive = solveGray(adCfg);
+  const Solve adaptive = solve(adCfg);
   const double raysMean =
       MetricsRegistry::global().gauge("tracer.rays_per_cell_mean").value();
   const double raysMax =

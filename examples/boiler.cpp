@@ -18,7 +18,6 @@
 #include "core/problems.h"
 #include "core/radiometer.h"
 #include "core/rmcrt_component.h"
-#include "core/spectral.h"
 #include "grid/load_balancer.h"
 #include "grid/regridder.h"
 #include "grid/vtk_writer.h"
@@ -161,10 +160,12 @@ int main(int argc, char** argv) {
 
   // Spectral (3-band WSGG) divQ at the flame core versus gray — the
   // paper's future-work extension in action.
-  SpectralTracer spectral({tl},
-                          WallProperties{setup.problem.wallSigmaT4OverPi,
-                                         setup.problem.wallEmissivity},
-                          setup.trace, threeband());
+  TraceConfig spectralCfg = setup.trace;
+  spectralCfg.bands = threeband();
+  Tracer spectral({tl},
+                  WallProperties{setup.problem.wallSigmaT4OverPi,
+                                 setup.problem.wallEmissivity},
+                  spectralCfg);
   const IntVector core(n / 2, n / 2, 2 * n / 5);
   grid::CCVariable<double> sdivQ(CellRange(core, core + IntVector(1)), 0.0);
   spectral.computeDivQ(sdivQ.window(),

@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <cassert>
+#include <chrono>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/dda.h"
-#include "core/spectral.h"
 #include "util/metrics.h"
 #include "util/stats.h"
 #include "util/thread_pool.h"
@@ -42,6 +43,16 @@ MetricsCounter& tracerSegmentsSavedCounter() {
 /// cell's record, with the band scale on kappa (paper Eq. 2).
 double divQOf(const PackedCell& src, double kappaScale, double meanI) {
   return 4.0 * M_PI * (src.abskg * kappaScale) * (src.sigmaT4OverPi - meanI);
+}
+
+/// Fold band \p b's share weight * q into a divQ cell: band 0 assigns,
+/// later bands add, in band order — so the single gray band {a=1} is the
+/// gray divQ bitwise (IEEE: 1.0*q == q).
+void foldBand(std::size_t b, double weight, double q, double& out) {
+  if (b == 0)
+    out = weight * q;
+  else
+    out += weight * q;
 }
 
 /// Per-thread scratch behind the tile ray streams (Tracer::traceTileRays):
@@ -123,7 +134,10 @@ bool Tracer::simdSupported() {
 
 Tracer::Tracer(std::vector<TraceLevel> levels, const WallProperties& walls,
                const TraceConfig& cfg)
-    : m_levels(std::move(levels)), m_walls(walls), m_cfg(cfg) {
+    : m_levels(std::move(levels)),
+      m_walls(walls),
+      m_cfg(cfg),
+      m_bandStats(cfg.bands.size()) {
   if (m_cfg.nDivQRays <= 0)
     throw std::invalid_argument(
         "TraceConfig::nDivQRays must be positive (got " +
@@ -134,6 +148,22 @@ Tracer::Tracer(std::vector<TraceLevel> levels, const WallProperties& walls,
         "TraceConfig::nFluxRays must be positive (got " +
         std::to_string(m_cfg.nFluxRays) +
         "): boundaryFlux divides by it, so the flux would be NaN");
+  if (m_cfg.bands.empty())
+    throw std::invalid_argument(
+        "TraceConfig::bands must hold at least one band: divQ is their "
+        "sum, so an empty model would never write it");
+  for (std::size_t b = 0; b < m_cfg.bands.size(); ++b) {
+    const SpectralBand& band = m_cfg.bands[b];
+    if (!std::isfinite(band.kappaScale) || !(band.kappaScale > 0.0))
+      throw std::invalid_argument(
+          "TraceConfig::bands[" + std::to_string(b) +
+          "].kappaScale must be finite and positive (got " +
+          std::to_string(band.kappaScale) + ")");
+    if (!std::isfinite(band.weight))
+      throw std::invalid_argument("TraceConfig::bands[" + std::to_string(b) +
+                                  "].weight must be finite (got " +
+                                  std::to_string(band.weight) + ")");
+  }
   if (m_cfg.adaptiveRays) {
     if (m_cfg.nPilotRays <= 0)
       throw std::invalid_argument(
@@ -169,7 +199,8 @@ void packLevels(std::vector<TraceLevel>& levels,
 }
 
 bool Tracer::marchLevel(std::size_t li, Vector& pos, const Vector& dir,
-                        double& sumI, double& transmissivity,
+                        double kappaScale, double& sumI,
+                        double& transmissivity,
                         std::uint64_t& segments) const {
   const TraceLevel& L = m_levels[li];
   const LevelGeom& g = L.geom;
@@ -199,9 +230,6 @@ bool Tracer::marchLevel(std::size_t li, Vector& pos, const Vector& dir,
 
   double tCur = 0.0;
   const double threshold = m_cfg.threshold;
-  // Band scale on kappa (1.0 in gray mode — bitwise neutral, IEEE
-  // x*1.0 == x), hoisted so the march loop never reloads the config.
-  const double kappaScale = m_cfg.kappaScale;
 
   for (;;) {
     const PackedCell& rec = *cell;
@@ -272,12 +300,13 @@ bool Tracer::marchLevel(std::size_t li, Vector& pos, const Vector& dir,
 }
 
 double Tracer::traceRay(Vector origin, Vector dir, std::size_t startLevel,
-                        std::uint64_t& segments) const {
+                        double kappaScale, std::uint64_t& segments) const {
   double sumI = 0.0;
   double transmissivity = 1.0;
   Vector pos = origin;
   for (std::size_t li = startLevel; li < m_levels.size(); ++li) {
-    if (marchLevel(li, pos, dir, sumI, transmissivity, segments)) break;
+    if (marchLevel(li, pos, dir, kappaScale, sumI, transmissivity, segments))
+      break;
   }
   return sumI;
 }
@@ -285,31 +314,32 @@ double Tracer::traceRay(Vector origin, Vector dir, std::size_t startLevel,
 double Tracer::traceRay(Vector origin, Vector dir,
                         std::size_t startLevel) const {
   std::uint64_t segments = 0;
-  const double sumI = traceRay(origin, dir, startLevel, segments);
+  const double sumI = traceRay(origin, dir, startLevel, 1.0, segments);
   flushSegments(segments);
   return sumI;
 }
 
 void Tracer::traceRaysScalar(int n, const Vector* origins,
-                             const Vector* dirs, double* out,
-                             std::uint64_t& segments) const {
+                             const Vector* dirs, double kappaScale,
+                             double* out, std::uint64_t& segments) const {
   for (int i = 0; i < n; ++i)
-    out[i] = traceRay(origins[i], dirs[i], 0, segments);
+    out[i] = traceRay(origins[i], dirs[i], 0, kappaScale, segments);
 }
 
 void Tracer::traceRays(int n, const Vector* origins, const Vector* dirs,
-                       double* out, std::uint64_t& segments) const {
+                       double kappaScale, double* out,
+                       std::uint64_t& segments) const {
   if (n <= 0) return;
   if (simdActive())
-    traceRaysSimd(n, origins, dirs, out, segments);
+    traceRaysSimd(n, origins, dirs, kappaScale, out, segments);
   else
-    traceRaysScalar(n, origins, dirs, out, segments);
+    traceRaysScalar(n, origins, dirs, kappaScale, out, segments);
 }
 
 void Tracer::traceRays(int n, const Vector* origins, const Vector* dirs,
                        double* out) const {
   std::uint64_t segments = 0;
-  traceRays(n, origins, dirs, out, segments);
+  traceRays(n, origins, dirs, 1.0, out, segments);
   flushSegments(segments);
 }
 
@@ -318,11 +348,25 @@ void Tracer::flushSegments(std::uint64_t n) const {
   tracerSegmentsCounter().add(n);
 }
 
-void Tracer::generateRays(const IntVector& cell, int rBegin, int rEnd,
-                          Vector* origins, Vector* dirs) const {
+void Tracer::resetSegmentCount() {
+  m_segments.store(0, std::memory_order_relaxed);
+  for (BandCounters& c : m_bandStats) {
+    c.segments.store(0, std::memory_order_relaxed);
+    c.nanoseconds.store(0, std::memory_order_relaxed);
+  }
+}
+
+Tracer::BandTrace Tracer::bandTrace(std::size_t b) const {
+  return BandTrace{m_cfg.seed + 0x5370656Bull * b,
+                   m_cfg.bands.at(b).kappaScale};
+}
+
+void Tracer::generateRays(const IntVector& cell, std::uint64_t seed,
+                          int rBegin, int rEnd, Vector* origins,
+                          Vector* dirs) const {
   const LevelGeom& g = m_levels.front().geom;
   for (int r = rBegin; r < rEnd; ++r) {
-    Rng rng(m_cfg.seed, cell, static_cast<std::uint32_t>(r));
+    Rng rng(seed, cell, static_cast<std::uint32_t>(r));
     Vector origin;
     if (m_cfg.jitterRayOrigin) {
       const Vector lo = g.cellLowCorner(cell);
@@ -338,8 +382,9 @@ void Tracer::generateRays(const IntVector& cell, int rBegin, int rEnd,
 }
 
 template <class RayRange, class Consume>
-void Tracer::traceTileRays(const CellRange& tile, RayRange rays,
-                           Consume consume, std::uint64_t& segments) const {
+void Tracer::traceTileRays(const CellRange& tile, const BandTrace& band,
+                           RayRange rays, Consume consume,
+                           std::uint64_t& segments) const {
   StreamScratch& s = streamScratch();
   constexpr std::size_t cap = kStreamRays;
   if (s.origins.empty()) {
@@ -351,7 +396,7 @@ void Tracer::traceTileRays(const CellRange& tile, RayRange rays,
   std::size_t n = 0;
   const auto flush = [&] {
     traceRays(static_cast<int>(n), s.origins.data(), s.dirs.data(),
-              s.intensity.data(), segments);
+              band.kappaScale, s.intensity.data(), segments);
     for (std::size_t k = 0; k < n; ++k)
       consume(s.cellIndex[k], s.intensity[k]);
     n = 0;
@@ -365,7 +410,7 @@ void Tracer::traceTileRays(const CellRange& tile, RayRange rays,
     for (int r = rBegin; r < rEnd;) {
       const int take = static_cast<int>(
           std::min(static_cast<std::size_t>(rEnd - r), cap - n));
-      generateRays(c, r, r + take, &s.origins[n], &s.dirs[n]);
+      generateRays(c, band.seed, r, r + take, &s.origins[n], &s.dirs[n]);
       std::fill_n(s.cellIndex.begin() + static_cast<std::ptrdiff_t>(n),
                   take, i);
       n += static_cast<std::size_t>(take);
@@ -377,11 +422,12 @@ void Tracer::traceTileRays(const CellRange& tile, RayRange rays,
   if (n > 0) flush();
 }
 
-double Tracer::meanIncomingIntensity(const IntVector& cell) const {
+double Tracer::meanIncomingIntensity(const IntVector& cell,
+                                     std::size_t band) const {
   std::uint64_t segments = 0;
   double sum = 0.0;
   traceTileRays(
-      CellRange(cell, cell + IntVector(1)),
+      CellRange(cell, cell + IntVector(1)), bandTrace(band),
       [this](std::size_t) { return std::pair(0, m_cfg.nDivQRays); },
       [&sum](std::size_t, double I) { sum += I; }, segments);
   flushSegments(segments);
@@ -391,23 +437,44 @@ double Tracer::meanIncomingIntensity(const IntVector& cell) const {
 void Tracer::computeDivQTile(const CellRange& tile,
                              MutableFieldView<double> divQ) const {
   RMCRT_TRACE_SPAN("tracer", "divQ_tile");
-  if (m_cfg.adaptiveRays) {
-    computeDivQTileAdaptive(tile, divQ);
-    return;
+  std::uint64_t segments = 0;
+  for (std::size_t b = 0; b < m_cfg.bands.size(); ++b) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const std::uint64_t bandSegments =
+        m_cfg.adaptiveRays ? computeDivQTileAdaptive(tile, b, divQ)
+                           : computeDivQTileFixed(tile, b, divQ);
+    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+    m_bandStats[b].segments.fetch_add(bandSegments,
+                                      std::memory_order_relaxed);
+    m_bandStats[b].nanoseconds.fetch_add(static_cast<std::uint64_t>(ns),
+                                         std::memory_order_relaxed);
+    segments += bandSegments;
   }
+  flushSegments(segments);
+}
+
+std::uint64_t Tracer::computeDivQTileFixed(
+    const CellRange& tile, std::size_t b,
+    MutableFieldView<double> divQ) const {
+  const BandTrace band = bandTrace(b);
+  const double weight = m_cfg.bands[b].weight;
   const std::uint64_t nCells = static_cast<std::uint64_t>(tile.volume());
   std::uint64_t segments = 0;
   // One stream over the whole tile; each cell's intensities are summed in
   // ray order, the reduction order of the fixed fan.
   std::vector<double> sums(nCells, 0.0);
   traceTileRays(
-      tile, [this](std::size_t) { return std::pair(0, m_cfg.nDivQRays); },
+      tile, band,
+      [this](std::size_t) { return std::pair(0, m_cfg.nDivQRays); },
       [&sums](std::size_t i, double I) { sums[i] += I; }, segments);
   std::size_t i = 0;
   for (const IntVector& c : tile)
-    divQ[c] = divQOf(m_levels.front().packed[c], m_cfg.kappaScale,
-                     sums[i++] / static_cast<double>(m_cfg.nDivQRays));
-  flushSegments(segments);
+    foldBand(b, weight,
+             divQOf(m_levels.front().packed[c], band.kappaScale,
+                    sums[i++] / static_cast<double>(m_cfg.nDivQRays)),
+             divQ[c]);
   const std::uint64_t rays =
       nCells * static_cast<std::uint64_t>(m_cfg.nDivQRays);
   tracerRaysCounter().add(rays);
@@ -418,6 +485,7 @@ void Tracer::computeDivQTile(const CellRange& tile,
   while (fan > prev && !m_maxBudget.compare_exchange_weak(
                            prev, fan, std::memory_order_relaxed)) {
   }
+  return segments;
 }
 
 int Tracer::adaptiveBudget(double pilotMean, double pilotStddev,
@@ -438,8 +506,11 @@ int Tracer::adaptiveBudget(double pilotMean, double pilotStddev,
   return std::max(pilot, static_cast<int>(need));
 }
 
-void Tracer::computeDivQTileAdaptive(const CellRange& tile,
-                                     MutableFieldView<double> divQ) const {
+std::uint64_t Tracer::computeDivQTileAdaptive(
+    const CellRange& tile, std::size_t b,
+    MutableFieldView<double> divQ) const {
+  const BandTrace band = bandTrace(b);
+  const double weight = m_cfg.bands[b].weight;
   const TraceLevel& L0 = m_levels.front();
   const int cap = m_cfg.nMaxRays > 0 ? m_cfg.nMaxRays : m_cfg.nDivQRays;
   const int pilot = std::min(m_cfg.nPilotRays, cap);
@@ -458,7 +529,7 @@ void Tracer::computeDivQTileAdaptive(const CellRange& tile,
     // stream size or thread schedule grants identical budgets.
     RMCRT_TRACE_SPAN("tracer", "adaptive_pilot");
     traceTileRays(
-        tile, [pilot](std::size_t) { return std::pair(0, pilot); },
+        tile, band, [pilot](std::size_t) { return std::pair(0, pilot); },
         [&states](std::size_t i, double I) {
           states[i].sum += I;
           states[i].pilot.add(I);
@@ -480,7 +551,7 @@ void Tracer::computeDivQTileAdaptive(const CellRange& tile,
     // nDivQRays reproduces the fixed fan's reduction bitwise.
     RMCRT_TRACE_SPAN("tracer", "adaptive_topup");
     traceTileRays(
-        tile,
+        tile, band,
         [&states, pilot](std::size_t i) {
           return std::pair(pilot, std::max(pilot, states[i].budget));
         },
@@ -489,15 +560,16 @@ void Tracer::computeDivQTileAdaptive(const CellRange& tile,
     std::size_t i = 0;
     for (const IntVector& c : tile) {
       const CellState& cs = states[i++];
-      divQ[c] = divQOf(L0.packed[c], m_cfg.kappaScale,
-                       cs.sum / static_cast<double>(cs.budget));
+      foldBand(b, weight,
+               divQOf(L0.packed[c], band.kappaScale,
+                      cs.sum / static_cast<double>(cs.budget)),
+               divQ[c]);
       raysTraced += static_cast<std::uint64_t>(cs.budget);
       tileMaxBudget =
           std::max(tileMaxBudget, static_cast<std::uint64_t>(cs.budget));
     }
   }
 
-  flushSegments(segments);
   tracerRaysCounter().add(raysTraced);
   const std::uint64_t nCells = static_cast<std::uint64_t>(tile.volume());
   m_raysTraced.fetch_add(raysTraced, std::memory_order_relaxed);
@@ -517,6 +589,7 @@ void Tracer::computeDivQTileAdaptive(const CellRange& tile,
     tracerSegmentsSavedCounter().add(static_cast<std::uint64_t>(
         static_cast<double>(fixedRays - raysTraced) * perRay));
   }
+  return segments;
 }
 
 void Tracer::publishRayGauges() const {
@@ -530,6 +603,16 @@ void Tracer::publishRayGauges() const {
   reg.setGauge("tracer.rays_per_cell_max",
                static_cast<double>(
                    m_maxBudget.load(std::memory_order_relaxed)));
+  for (std::size_t b = 0; b < m_bandStats.size(); ++b) {
+    const std::uint64_t ns =
+        m_bandStats[b].nanoseconds.load(std::memory_order_relaxed);
+    if (ns == 0) continue;
+    // Mseg/s = segments / (ns * 1e-9) / 1e6.
+    reg.setGauge("tracer.band" + std::to_string(b) + ".mseg_per_s",
+                 static_cast<double>(m_bandStats[b].segments.load(
+                     std::memory_order_relaxed)) *
+                     1e3 / static_cast<double>(ns));
+  }
 }
 
 void Tracer::computeDivQ(const CellRange& cells,
@@ -556,14 +639,8 @@ void Tracer::computeDivQ(const CellRange& cells,
 void Tracer::computeDivQBatch(const std::vector<DivQTileJob>& jobs,
                               ThreadPool* pool) {
   RMCRT_TRACE_SPAN("tracer", "computeDivQBatch");
-  // A job carrying a band pipeline runs through it; gray jobs keep the
-  // direct tracer path. Both are per-tile serial work units, so one
-  // drain can mix gray and spectral scenes.
   const auto run = [](const DivQTileJob& j) {
-    if (j.spectral != nullptr)
-      j.spectral->computeDivQTile(j.tile, j.sink);
-    else
-      j.tracer->computeDivQTile(j.tile, j.sink);
+    j.tracer->computeDivQTile(j.tile, j.sink);
   };
   if (pool == nullptr || pool->size() <= 1) {
     for (const DivQTileJob& j : jobs) run(j);
@@ -573,11 +650,11 @@ void Tracer::computeDivQBatch(const std::vector<DivQTileJob>& jobs,
                         run(jobs[static_cast<std::size_t>(i)]);
                       });
   }
-  // Rays-per-cell gauges: publish once per drain for each distinct gray
-  // tracer (never per tile, so concurrent tiles cannot race the gauge).
+  // Rays-per-cell and band-rate gauges: publish once per drain for each
+  // distinct tracer (never per tile, so concurrent tiles cannot race the
+  // gauge).
   std::vector<const Tracer*> seen;
   for (const DivQTileJob& j : jobs) {
-    if (j.tracer == nullptr || j.spectral != nullptr) continue;
     if (std::find(seen.begin(), seen.end(), j.tracer) == seen.end()) {
       seen.push_back(j.tracer);
       j.tracer->publishRayGauges();
@@ -647,8 +724,9 @@ double Tracer::boundaryFlux(const IntVector& cell, const IntVector& face,
                                           inward * cosT;
     }
     std::uint64_t segments = 0;
+    // The gray-mean field: scale 1 whatever the band model.
     traceRays(e - b, &origins[static_cast<std::size_t>(b)],
-              &dirs[static_cast<std::size_t>(b)],
+              &dirs[static_cast<std::size_t>(b)], 1.0,
               &intensity[static_cast<std::size_t>(b)], segments);
     flushSegments(segments);
   };

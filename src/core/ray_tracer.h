@@ -9,8 +9,10 @@
 ///
 ///   divQ(c) = 4*pi*kappa(c) * ( sigmaT4/pi(c)  -  mean_r I_r )
 ///
-/// which vanishes in radiative equilibrium. Marching is an exact 3-D DDA
-/// (amanatides-woo) through the structured mesh; the multi-level
+/// which vanishes in radiative equilibrium; with a spectral band model
+/// (TraceConfig::bands) divQ is the weighted sum of that term over the
+/// bands, and the gray solver is the one-band case. Marching is an exact
+/// 3-D DDA (amanatides-woo) through the structured mesh; the multi-level
 /// configuration marches fine-mesh data inside a region of interest
 /// (patch + halo) and the coarsened whole-domain data outside — the
 /// paper's communication-avoiding AMR scheme (Section III-B/C).
@@ -72,7 +74,44 @@ struct LevelGeom {
   }
 };
 
-class SpectralTracer;  // spectral.h — band pipeline batched via DivQTileJob
+/// One band of a weighted-sum-of-gray-gases spectral model — the
+/// paper's future work (Section III-A: "Adding spectral frequencies to
+/// RMCRT would entail adding a loop over wave-lengths"). Band b carries a
+/// weight a_b (its fraction of the Planck emissive power) and a scale s_b
+/// on the gray-mean absorption coefficient, and
+///
+///   divQ(c) = sum_b  a_b * 4*pi*(s_b*kappa(c)) * ( sigmaT4/pi(c) - meanI_b )
+///
+/// where meanI_b is the mean incoming intensity marched with kappa scaled
+/// by s_b against the unscaled source (intensity is linear in it).
+struct SpectralBand {
+  double weight = 1.0;      ///< fraction of blackbody emissive power, a_b
+  double kappaScale = 1.0;  ///< s_b multiplying the gray-mean kappa field
+};
+
+/// A band set; weights should sum to ~1.
+using BandModel = std::vector<SpectralBand>;
+
+/// The single gray band {a=1, s=1}: the gray solver, bitwise (IEEE:
+/// x*1.0 == x).
+inline BandModel grayBand() { return {SpectralBand{1.0, 1.0}}; }
+
+/// A 3-band toy combustion-gas model: one nearly transparent window, one
+/// moderate band, one strongly absorbing band (CO2/H2O-like), chosen so
+/// the Planck-weighted mean equals the gray kappa (sum a_b * s_b = 1).
+inline BandModel threeband() {
+  return {SpectralBand{0.45, 0.12},
+          SpectralBand{0.35, 0.80},
+          SpectralBand{0.20, 3.33}};
+}
+
+/// Planck-weighted mean absorption scale of a band model — equals the
+/// effective gray kappa multiplier.
+inline double planckMeanScale(const BandModel& bands) {
+  double s = 0.0;
+  for (const auto& b : bands) s += b.weight * b.kappaScale;
+  return s;
+}
 
 /// Wall (domain boundary / intruding geometry) radiative properties.
 struct WallProperties {
@@ -116,13 +155,15 @@ struct TraceConfig {
   /// have their own knob with the same positive-count ctor validation.
   /// boundaryFlux(nRays = 0) resolves to this value.
   int nFluxRays = 100;
-  /// Uniform scale applied to every absorption coefficient the march
-  /// sees — both the per-segment extinction and the kappa factor of the
-  /// divQ formula. 1.0 (default) is bitwise neutral (IEEE: x*1.0 == x).
-  /// The spectral band pipeline sets it to the band's s_b so every band
-  /// marches the SAME PackedCell records (one packing, one device
-  /// upload) instead of per-band scaled field copies.
-  double kappaScale = 1.0;
+  /// The spectral band model divQ loops over (SpectralBand). The default
+  /// single gray band is the gray solver. Every band marches the same
+  /// PackedCell records with its kappa scale applied in the march, so
+  /// bands add no packing and no device upload. Band b draws its rays
+  /// from seed + 0x5370656B*b (band 0 keeps `seed`). boundaryFlux,
+  /// radiometers and traceRay/traceRays march the gray-mean field
+  /// whatever the bands. Must be non-empty, with finite positive scales
+  /// and finite weights (checked at construction).
+  BandModel bands = grayBand();
   /// Variance-adaptive per-cell ray budgets (two-pass pilot/top-up
   /// estimator, DESIGN.md §17). Off (default): every cell fires exactly
   /// nDivQRays rays — the fixed fan, bitwise unchanged. On: each cell
@@ -193,14 +234,16 @@ struct TraceLevel {
 /// Fuse PackedCell records for every level of \p levels that carries
 /// none, appending their storage to \p owned (which must outlive the
 /// views; moving the outer vector never moves the record buffers). Used
-/// by the Tracer and SpectralTracer constructors, so every level a march
-/// sees carries records.
+/// by the Tracer constructor, so every level a march sees carries
+/// records.
 /// \throws std::invalid_argument for a level with neither records nor
 /// the abskg/sigmaT4OverPi views to pack them from.
 void packLevels(std::vector<TraceLevel>& levels,
                 std::vector<PackedLevelField>& owned);
 
-/// The RMCRT tracer over a fine->coarse stack of levels.
+/// The RMCRT tracer over a fine->coarse stack of levels. divQ loops over
+/// TraceConfig::bands inside each tile; the gray solver is the one-band
+/// case.
 ///
 /// Single-level configuration: one TraceLevel whose `allowed` equals the
 /// whole level. Multi-level: entry 0 is the fine level with `allowed` set
@@ -211,9 +254,11 @@ class Tracer {
   /// Levels whose `packed` view is unset are fused into Tracer-owned
   /// PackedCell arrays here (packLevels; the owned storage lives as long
   /// as the Tracer).
-  /// \throws std::invalid_argument when cfg.nDivQRays <= 0: the divQ
+  /// \throws std::invalid_argument when cfg.nDivQRays <= 0 (the divQ
   /// estimator divides by nDivQRays, so a non-positive count would
-  /// silently fill divQ with NaN/inf.
+  /// silently fill divQ with NaN/inf), and when cfg.bands is empty (divQ
+  /// would never be written) or holds a non-finite or non-positive
+  /// kappaScale or a non-finite weight.
   Tracer(std::vector<TraceLevel> levels, const WallProperties& walls,
          const TraceConfig& cfg);
 
@@ -237,8 +282,7 @@ class Tracer {
   /// the host qualifies.
   bool simdActive() const { return m_cfg.useSimd && simdSupported(); }
 
-  /// The trace levels this tracer marches (read-only; tests assert the
-  /// spectral band tracers alias one shared packed record set).
+  /// The trace levels this tracer marches (read-only).
   const std::vector<TraceLevel>& levels() const { return m_levels; }
 
   /// Trace one ray from physical position \p origin in direction \p dir
@@ -259,10 +303,13 @@ class Tracer {
                  double* out) const;
 
   /// Mean incoming intensity over nDivQRays rays for \p cell (a cell of
-  /// levels[0]).
-  double meanIncomingIntensity(const IntVector& cell) const;
+  /// levels[0]) in band \p band of TraceConfig::bands — the rays and
+  /// kappa scale that band's divQ uses.
+  double meanIncomingIntensity(const IntVector& cell,
+                               std::size_t band = 0) const;
 
-  /// Compute divQ for every cell in \p cells (cells of levels[0]).
+  /// Compute divQ for every cell in \p cells (cells of levels[0]),
+  /// summed over TraceConfig::bands.
   ///
   /// With a \p pool, the range is split into TraceConfig::tileSize tiles
   /// run via ThreadPool::parallelFor. Because the RNG stream of every
@@ -285,19 +332,16 @@ class Tracer {
     const Tracer* tracer = nullptr;
     CellRange tile;
     MutableFieldView<double> sink;
-    /// When set, the tile is traced by this band pipeline instead of
-    /// `tracer` (computeDivQBatch dispatches on it): the radiation
-    /// service drains spectral scenes through the same batch as gray
-    /// ones. Appended last so existing {tracer, tile, sink} aggregate
-    /// initializers stay valid.
-    const SpectralTracer* spectral = nullptr;
   };
 
-  /// Serial divQ over one tile — the batch work-unit entry point. Every
-  /// cell's rays are fixed by (seed, cell, ray), so any partition of a
-  /// region into tile calls produces results bitwise identical to one
-  /// computeDivQ over the whole region. Flushes the tile's segment count
-  /// with a single atomic add.
+  /// Serial divQ over one tile — the batch work-unit entry point. The
+  /// band loop runs inside the tile: band b's share a_b * q_b folds into
+  /// the sink in place (band 0 assigns, later bands add, in band order).
+  /// Every cell's rays are fixed by (seed, band, cell, ray), so any
+  /// partition of a region into tile calls produces results bitwise
+  /// identical to one computeDivQ over the whole region. Flushes the
+  /// tile's segment count with a single atomic add, and each band's
+  /// segment and time totals with one add each.
   void computeDivQTile(const CellRange& tile,
                        MutableFieldView<double> divQ) const;
 
@@ -326,9 +370,8 @@ class Tracer {
   std::uint64_t segmentCount() const {
     return m_segments.load(std::memory_order_relaxed);
   }
-  void resetSegmentCount() {
-    m_segments.store(0, std::memory_order_relaxed);
-  }
+  /// Also restarts the per-band rate totals.
+  void resetSegmentCount();
 
   /// Adaptive-sampling work statistics since construction / last reset
   /// (relaxed atomics; exact once trace calls have returned). When
@@ -353,13 +396,13 @@ class Tracer {
 
  private:
   /// March within level \p li from physical position \p pos over its
-  /// packed records with an incremental-stride DDA; accumulates into
-  /// sumI/transmissivity and counts cell crossings into the caller's
-  /// local \p segments; returns true if the ray is finished (wall,
-  /// threshold or domain exit), false if it left `allowed` and should
-  /// continue on level li+1 at the updated \p pos.
+  /// packed records with an incremental-stride DDA, kappa scaled by \p
+  /// kappaScale; accumulates into sumI/transmissivity and counts cell
+  /// crossings into the caller's local \p segments; returns true if the
+  /// ray is finished (wall, threshold or domain exit), false if it left
+  /// `allowed` and should continue on level li+1 at the updated \p pos.
   bool marchLevel(std::size_t li, Vector& pos, const Vector& dir,
-                  double& sumI, double& transmissivity,
+                  double kappaScale, double& sumI, double& transmissivity,
                   std::uint64_t& segments) const;
 
   /// The single flush point for per-tile / per-call segment counts: adds
@@ -367,19 +410,22 @@ class Tracer {
   /// counter, so the two can never drift.
   void flushSegments(std::uint64_t n) const;
 
-  /// traceRay with the segment count going to a caller-owned local
-  /// instead of the shared atomic.
+  /// traceRay with a band's kappa scale and the segment count going to a
+  /// caller-owned local instead of the shared atomic.
   double traceRay(Vector origin, Vector dir, std::size_t startLevel,
-                  std::uint64_t& segments) const;
+                  double kappaScale, std::uint64_t& segments) const;
 
-  /// traceRays with a caller-owned segment counter: the single dispatch
-  /// between the packet march and the scalar loop.
+  /// traceRays with a band's kappa scale and a caller-owned segment
+  /// counter: the single dispatch between the packet march and the
+  /// scalar loop.
   void traceRays(int n, const Vector* origins, const Vector* dirs,
-                 double* out, std::uint64_t& segments) const;
+                 double kappaScale, double* out,
+                 std::uint64_t& segments) const;
 
   /// The scalar per-ray loop, bitwise identical to traceRay.
   void traceRaysScalar(int n, const Vector* origins, const Vector* dirs,
-                       double* out, std::uint64_t& segments) const;
+                       double kappaScale, double* out,
+                       std::uint64_t& segments) const;
 
   /// The packet march (ray_tracer_simd.cc, DESIGN.md §14): one packet
   /// pass per level. Level 0's pass marches the given rays; each ray
@@ -390,14 +436,24 @@ class Tracer {
   /// instantiation; both give bitwise-equal results. Callers must check
   /// simdActive() first.
   void traceRaysSimd(int n, const Vector* origins, const Vector* dirs,
-                     double* out, std::uint64_t& segments) const;
+                     double kappaScale, double* out,
+                     std::uint64_t& segments) const;
+
+  /// One band's march: the seed its rays draw from and its kappa scale.
+  struct BandTrace {
+    std::uint64_t seed;
+    double kappaScale;
+  };
+  /// Band \p b of TraceConfig::bands: seed cfg.seed + 0x5370656B*b, so
+  /// bands do not share sample paths and band 0 keeps cfg.seed.
+  BandTrace bandTrace(std::size_t b) const;
 
   /// Origins and directions of rays [rBegin, rEnd) of \p cell (a cell of
   /// levels[0]): ray r draws from Rng(seed, cell, r) whichever pass,
   /// stream or entry point asks for it — the one ray generator of the
   /// divQ estimator.
-  void generateRays(const IntVector& cell, int rBegin, int rEnd,
-                    Vector* origins, Vector* dirs) const;
+  void generateRays(const IntVector& cell, std::uint64_t seed, int rBegin,
+                    int rEnd, Vector* origins, Vector* dirs) const;
 
   /// Rays per stream: traceTileRays generates a tile's (cell, ray) pairs
   /// into per-thread scratch of this many rays and traces each full
@@ -409,13 +465,14 @@ class Tracer {
 
   /// The tile ray stream behind every divQ entry point. For the i-th
   /// cell c of \p tile (z-major order), rays(i) gives the ray range
-  /// [first, second) to trace. The rays are generated into bounded
-  /// per-thread scratch and traced kStreamRays at a time through one
-  /// traceRays call, so packet lanes refill across cell boundaries;
+  /// [first, second) of \p band to trace. The rays are generated into
+  /// bounded per-thread scratch and traced kStreamRays at a time through
+  /// one traceRays call, so packet lanes refill across cell boundaries;
   /// consume(i, intensity) then sees every ray in (cell, ray) order,
   /// whatever the stream size.
   template <class RayRange, class Consume>
-  void traceTileRays(const CellRange& tile, RayRange rays, Consume consume,
+  void traceTileRays(const CellRange& tile, const BandTrace& band,
+                     RayRange rays, Consume consume,
                      std::uint64_t& segments) const;
 
   /// Deterministic per-cell ray budget from the pilot statistics alone —
@@ -426,17 +483,26 @@ class Tracer {
   int adaptiveBudget(double pilotMean, double pilotStddev,
                      double sigmaT4OverPi) const;
 
-  /// The two-pass adaptive tile: pilot fan + variance-sized top-up per
-  /// cell, both passes consuming the same (seed, cell, ray) streams as
-  /// the fixed fan (pilot = rays 0..nPilot-1; the top-up continues the
-  /// prefix) and summed in ray order, so a cell whose budget reaches
-  /// nDivQRays reproduces its fixed-fan divQ bitwise.
-  void computeDivQTileAdaptive(const CellRange& tile,
-                               MutableFieldView<double> divQ) const;
+  /// Band \p b of a tile with the fixed nDivQRays fan, folded into \p
+  /// divQ; returns the crossings marched.
+  std::uint64_t computeDivQTileFixed(const CellRange& tile, std::size_t b,
+                                     MutableFieldView<double> divQ) const;
 
-  /// Publish tracer.rays_per_cell_{mean,max} from the ray statistics —
-  /// called at the end of computeDivQ / computeDivQBatch (not per tile,
-  /// so concurrent tiles never race on the gauges).
+  /// Band \p b of a tile with the two-pass adaptive budget: pilot fan +
+  /// variance-sized top-up per cell, both passes consuming the same
+  /// (seed, cell, ray) streams as the fixed fan (pilot = rays
+  /// 0..nPilot-1; the top-up continues the prefix) and summed in ray
+  /// order, so a cell whose budget reaches nDivQRays reproduces its
+  /// fixed-fan divQ bitwise. Folded into \p divQ like the fixed fan;
+  /// returns the crossings marched.
+  std::uint64_t computeDivQTileAdaptive(const CellRange& tile,
+                                        std::size_t b,
+                                        MutableFieldView<double> divQ) const;
+
+  /// Publish tracer.rays_per_cell_{mean,max} from the ray statistics and
+  /// tracer.band<k>.mseg_per_s from the per-band totals — called at the
+  /// end of computeDivQ / computeDivQBatch (not per tile, so concurrent
+  /// tiles never race on the gauges).
   void publishRayGauges() const;
 
   std::vector<TraceLevel> m_levels;
@@ -454,6 +520,13 @@ class Tracer {
   mutable std::atomic<std::uint64_t> m_raysTraced{0};
   mutable std::atomic<std::uint64_t> m_cellsTraced{0};
   mutable std::atomic<std::uint64_t> m_maxBudget{0};
+  /// Per-band crossings and thread-time behind the band<k>.mseg_per_s
+  /// gauges, bumped once per band per tile.
+  struct BandCounters {
+    std::atomic<std::uint64_t> segments{0};
+    std::atomic<std::uint64_t> nanoseconds{0};
+  };
+  mutable std::vector<BandCounters> m_bandStats;
 };
 
 /// Sample an isotropic direction on the unit sphere.

@@ -99,6 +99,7 @@ struct PacketPass {
   /// go to `next` instead of taking the domain-wall term.
   bool hasNext = false;
   double threshold = 0.0;
+  /// The band's scale on every kappa the pass reads (1.0: gray).
   double kappaScale = 1.0;
   double wallEmissivity = 1.0;
   double wallSigmaT4OverPi = 0.0;
@@ -380,7 +381,8 @@ struct V {
 #pragma GCC pop_options
 
 void Tracer::traceRaysSimd(int n, const Vector* origins, const Vector* dirs,
-                           double* out, std::uint64_t& segments) const {
+                           double kappaScale, double* out,
+                           std::uint64_t& segments) const {
   // Two handoff buffers per thread, reused across calls: the pass over
   // level li reads the rays level li-1 handed off from one and fills the
   // other for level li+1.
@@ -389,7 +391,7 @@ void Tracer::traceRaysSimd(int n, const Vector* origins, const Vector* dirs,
       avx512Usable() ? avx512::packetPass : avx2::packetPass;
   PacketPass pass;
   pass.threshold = m_cfg.threshold;
-  pass.kappaScale = m_cfg.kappaScale;
+  pass.kappaScale = kappaScale;
   pass.wallEmissivity = m_walls.emissivity;
   pass.wallSigmaT4OverPi = m_walls.sigmaT4OverPi;
   // Calls longer than a stream march a stream at a time, which bounds
@@ -417,11 +419,12 @@ const char* Tracer::simdIsa() {
 #else  // !RMCRT_SIMD_X86
 
 void Tracer::traceRaysSimd(int n, const Vector* origins, const Vector* dirs,
-                           double* out, std::uint64_t& segments) const {
+                           double kappaScale, double* out,
+                           std::uint64_t& segments) const {
   // Non-x86 build: simdSupported() is constant-false so this is
   // unreachable through the public dispatch; keep a correct fallback for
   // direct callers anyway.
-  traceRaysScalar(n, origins, dirs, out, segments);
+  traceRaysScalar(n, origins, dirs, kappaScale, out, segments);
 }
 
 const char* Tracer::simdIsa() { return "none"; }

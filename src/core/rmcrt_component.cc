@@ -21,49 +21,25 @@ using runtime::VarType;
 
 namespace {
 
-/// Shared, copyable pipeline state captured by task lambdas.
-struct PipelineState {
-  RadiationProblem problem;
-  TraceConfig trace;
-  int roiHalo;
-  ThreadPool* pool = nullptr;  ///< setup-supplied fallback tracing pool
-  /// Per-rank coarse-record cache for the adaptive pipeline (may be
-  /// null). Outlives the PipelineState that a re-registration replaces,
-  /// so packed coarse records persist across radiation steps.
-  std::shared_ptr<PackedLevelCache> packedCache;
-  /// Spectral bands (empty = gray). Every trace task below dispatches
-  /// through traceDivQ on this.
-  BandModel bands;
-};
-
 /// The pool a trace task should tile on: the scheduler-provided one when
 /// present (bounds node-wide parallelism), else the setup's.
-ThreadPool* tracePool(const TaskContext& ctx, const PipelineState& st) {
+ThreadPool* tracePool(const TaskContext& ctx, const RmcrtSetup& st) {
   return ctx.pool != nullptr ? ctx.pool : st.pool;
 }
 
-/// The one dispatch point between the gray tracer and the spectral band
-/// pipeline, shared by every trace task and the serial solvers. An
-/// empty band model takes the exact gray path; otherwise the
-/// SpectralTracer band loop runs over the SAME trace levels (one shared
-/// record set). \p segmentsOut, when non-null, receives the traced
-/// segment count (the measured-cost model's input).
-void traceDivQ(std::vector<TraceLevel> levels, const WallProperties& walls,
-               const PipelineState& st, const CellRange& cells,
-               MutableFieldView<double> divQ, ThreadPool* pool,
-               std::uint64_t* segmentsOut = nullptr) {
-  if (st.bands.empty()) {
-    Tracer tracer(std::move(levels), walls, st.trace);
-    tracer.computeDivQ(cells, divQ, pool);
-    if (segmentsOut != nullptr) *segmentsOut = tracer.segmentCount();
-  } else {
-    SpectralTracer tracer(levels, walls, st.trace, st.bands);
-    tracer.computeDivQ(cells, divQ, pool);
-    if (segmentsOut != nullptr) *segmentsOut = tracer.segmentCount();
-  }
+/// divQ over \p cells with one Tracer, shared by every host trace task
+/// and the serial solvers. Returns the traced segment count (the
+/// measured-cost model's input).
+std::uint64_t traceDivQ(std::vector<TraceLevel> levels,
+                        const WallProperties& walls, const RmcrtSetup& st,
+                        const CellRange& cells, MutableFieldView<double> divQ,
+                        ThreadPool* pool) {
+  Tracer tracer(std::move(levels), walls, st.trace);
+  tracer.computeDivQ(cells, divQ, pool);
+  return tracer.segmentCount();
 }
 
-Task makeInitTask(std::shared_ptr<PipelineState> st, int fineLevel) {
+Task makeInitTask(std::shared_ptr<RmcrtSetup> st, int fineLevel) {
   Task t("RMCRT::initProperties", fineLevel,
          [st](const TaskContext& ctx) {
            const grid::Level& level =
@@ -119,7 +95,7 @@ Task makeCoarsenTask(int fineLevel) {
 /// fine patches cover. Fine patch boxes are rr-aligned in coarse space
 /// (the clusterer works on a coarse-cell lattice), so the overlay
 /// regions coarsen exactly.
-Task makeUpdateCoarseTask(std::shared_ptr<PipelineState> st, int fineLevel) {
+Task makeUpdateCoarseTask(std::shared_ptr<RmcrtSetup> st, int fineLevel) {
   Task t("RMCRT::updateCoarseProperties", /*level=*/0,
          [st, fineLevel](const TaskContext& ctx) {
            const grid::Level& coarse = ctx.grid->level(0);
@@ -192,7 +168,7 @@ std::vector<TraceLevel> buildTraceLevels(const TaskContext& ctx,
   return levels;
 }
 
-Task makeCpuTraceTask(std::shared_ptr<PipelineState> st, int fineLevel,
+Task makeCpuTraceTask(std::shared_ptr<RmcrtSetup> st, int fineLevel,
                       bool twoLevel) {
   Task t("RMCRT::rayTrace", fineLevel, [st, fineLevel,
                                         twoLevel](const TaskContext& ctx) {
@@ -230,7 +206,7 @@ Task makeCpuTraceTask(std::shared_ptr<PipelineState> st, int fineLevel,
 /// sequentially on the scheduler thread and the fill is deterministic
 /// and idempotent — and each patch's traced-segment count feeds the
 /// measured-cost model when one is supplied.
-Task makeAdaptiveTraceTask(std::shared_ptr<PipelineState> st, int fineLevel,
+Task makeAdaptiveTraceTask(std::shared_ptr<RmcrtSetup> st, int fineLevel,
                            amr::CostModel* costs) {
   Task t("RMCRT::rayTraceAdaptive", fineLevel,
          [st, fineLevel, costs](const TaskContext& ctx) {
@@ -272,10 +248,10 @@ Task makeAdaptiveTraceTask(std::shared_ptr<PipelineState> st, int fineLevel,
                                       st->problem.wallEmissivity};
            auto& divQ = ctx.newDW->getModifiable<double>(
                RmcrtLabels::divQ, ctx.patch->id());
-           std::uint64_t segments = 0;
-           traceDivQ(std::move(levels), walls, *st, ctx.patch->cells(),
-                     MutableFieldView<double>::fromHost(divQ),
-                     tracePool(ctx, *st), &segments);
+           const std::uint64_t segments =
+               traceDivQ(std::move(levels), walls, *st, ctx.patch->cells(),
+                         MutableFieldView<double>::fromHost(divQ),
+                         tracePool(ctx, *st));
            if (costs)
              costs->record(ctx.patch->id(), static_cast<double>(segments));
          });
@@ -295,7 +271,7 @@ Task makeAdaptiveTraceTask(std::shared_ptr<PipelineState> st, int fineLevel,
 
 /// Single-level trace: the whole fine level is replicated on every rank
 /// ("infinite ghost cells" on the only level).
-Task makeSingleLevelTraceTask(std::shared_ptr<PipelineState> st,
+Task makeSingleLevelTraceTask(std::shared_ptr<RmcrtSetup> st,
                               int fineLevel) {
   Task t("RMCRT::rayTraceSingleLevel", fineLevel,
          [st, fineLevel](const TaskContext& ctx) {
@@ -335,7 +311,7 @@ Task makeSingleLevelTraceTask(std::shared_ptr<PipelineState> st,
 /// DeviceOutOfMemory when the device cannot hold the inputs; the caller
 /// owns recovery. The per-attempt stream is a local, so stack unwinding
 /// drains it before the caller frees any device memory it references.
-void runGpuTraceAttempt(const TaskContext& ctx, const PipelineState& st,
+void runGpuTraceAttempt(const TaskContext& ctx, const RmcrtSetup& st,
                         int fineLevel, gpu::GpuDataWarehouse* gdw) {
   RMCRT_TRACE_SPAN("gpu", "trace_attempt");
   const int pid = ctx.patch->id();
@@ -385,7 +361,6 @@ void runGpuTraceAttempt(const TaskContext& ctx, const PipelineState& st,
   const WallProperties walls{st.problem.wallSigmaT4OverPi,
                              st.problem.wallEmissivity};
   const TraceConfig cfg = st.trace;
-  const BandModel bands = st.bands;
   // Wall flags come from the host records the uploads were fused from,
   // so the kernel never scans device memory for them.
   const bool fineWalls = finePacked.hasWalls();
@@ -399,19 +374,11 @@ void runGpuTraceAttempt(const TaskContext& ctx, const PipelineState& st,
                         PackedFieldView::fromDevice(dPackedC, coarseWalls)};
     gpu::DeviceVar out = dDivQ;
     // Serial inside the simulated kernel: the device executor's SM
-    // workers are the parallelism on this path.
-    if (bands.empty()) {
-      Tracer tracer({fineTL, coarseTL}, walls, cfg);
-      tracer.computeDivQ(patchCells,
-                         MutableFieldView<double>::fromDevice(out));
-    } else {
-      // The band loop marches the SAME device-resident records for every
-      // band (kappa scaling lives in the march), so the single H2D
-      // upload above serves the whole spectrum.
-      SpectralTracer tracer({fineTL, coarseTL}, walls, cfg, bands);
-      tracer.computeDivQ(patchCells,
-                         MutableFieldView<double>::fromDevice(out));
-    }
+    // workers are the parallelism on this path. Every band marches these
+    // device-resident records, so the one H2D upload above serves the
+    // whole spectrum.
+    Tracer tracer({fineTL, coarseTL}, walls, cfg);
+    tracer.computeDivQ(patchCells, MutableFieldView<double>::fromDevice(out));
   });
 
   // D2H: the result.
@@ -434,7 +401,7 @@ void releasePatchDeviceVars(gpu::GpuDataWarehouse* gdw, int pid) {
   gdw->removePatchVar(RmcrtLabels::divQ, pid);
 }
 
-Task makeGpuTraceTask(std::shared_ptr<PipelineState> st, int fineLevel,
+Task makeGpuTraceTask(std::shared_ptr<RmcrtSetup> st, int fineLevel,
                       gpu::GpuDataWarehouse* gdw) {
   Task t("RMCRT::rayTraceGPU", fineLevel, [st, fineLevel,
                                            gdw](const TaskContext& ctx) {
@@ -493,9 +460,7 @@ Task makeGpuTraceTask(std::shared_ptr<PipelineState> st, int fineLevel,
 
 void RmcrtComponent::registerTwoLevelPipeline(runtime::Scheduler& sched,
                                               const RmcrtSetup& setup) {
-  auto st = std::make_shared<PipelineState>(
-      PipelineState{setup.problem, setup.trace, setup.roiHalo, setup.pool,
-                    setup.packedCache, setup.bands});
+  auto st = std::make_shared<RmcrtSetup>(setup);
   const int fineLevel = sched.grid().numLevels() - 1;
   sched.addTask(makeInitTask(st, fineLevel));
   sched.addTask(makeCoarsenTask(fineLevel));
@@ -505,9 +470,7 @@ void RmcrtComponent::registerTwoLevelPipeline(runtime::Scheduler& sched,
 void RmcrtComponent::registerAdaptivePipeline(runtime::Scheduler& sched,
                                               const RmcrtSetup& setup,
                                               amr::CostModel* costs) {
-  auto st = std::make_shared<PipelineState>(
-      PipelineState{setup.problem, setup.trace, setup.roiHalo, setup.pool,
-                    setup.packedCache, setup.bands});
+  auto st = std::make_shared<RmcrtSetup>(setup);
   const int fineLevel = sched.grid().numLevels() - 1;
   sched.addTask(makeInitTask(st, fineLevel));
   sched.addTask(makeUpdateCoarseTask(st, fineLevel));
@@ -526,9 +489,7 @@ amr::AmrEngine::PropertySampler RmcrtComponent::makePropertySampler(
 
 void RmcrtComponent::registerSingleLevelPipeline(runtime::Scheduler& sched,
                                                  const RmcrtSetup& setup) {
-  auto st = std::make_shared<PipelineState>(
-      PipelineState{setup.problem, setup.trace, setup.roiHalo, setup.pool,
-                    setup.packedCache, setup.bands});
+  auto st = std::make_shared<RmcrtSetup>(setup);
   const int fineLevel = sched.grid().numLevels() - 1;
   sched.addTask(makeInitTask(st, fineLevel));
   sched.addTask(makeSingleLevelTraceTask(st, fineLevel));
@@ -537,9 +498,7 @@ void RmcrtComponent::registerSingleLevelPipeline(runtime::Scheduler& sched,
 void RmcrtComponent::registerTwoLevelGpuPipeline(
     runtime::Scheduler& sched, const RmcrtSetup& setup,
     gpu::GpuDataWarehouse& gdw) {
-  auto st = std::make_shared<PipelineState>(
-      PipelineState{setup.problem, setup.trace, setup.roiHalo, setup.pool,
-                    setup.packedCache, setup.bands});
+  auto st = std::make_shared<RmcrtSetup>(setup);
   const int fineLevel = sched.grid().numLevels() - 1;
   sched.addTask(makeInitTask(st, fineLevel));
   sched.addTask(makeCoarsenTask(fineLevel));
@@ -562,9 +521,7 @@ grid::CCVariable<double> RmcrtComponent::solveSerialSingleLevel(
   const WallProperties walls{setup.problem.wallSigmaT4OverPi,
                              setup.problem.wallEmissivity};
   grid::CCVariable<double> divQ(fine.cells(), 0.0);
-  const PipelineState st{setup.problem, setup.trace, setup.roiHalo,
-                         setup.pool, setup.packedCache, setup.bands};
-  traceDivQ({tl}, walls, st, fine.cells(),
+  traceDivQ({tl}, walls, setup, fine.cells(),
             MutableFieldView<double>::fromHost(divQ), setup.pool);
   return divQ;
 }
@@ -589,8 +546,6 @@ grid::CCVariable<double> RmcrtComponent::solveSerialTwoLevel(
   const WallProperties walls{setup.problem.wallSigmaT4OverPi,
                              setup.problem.wallEmissivity};
   grid::CCVariable<double> divQ(fine.cells(), 0.0);
-  const PipelineState st{setup.problem, setup.trace, setup.roiHalo,
-                         setup.pool, setup.packedCache, setup.bands};
 
   // Trace per fine patch with its ROI, as the distributed pipeline would.
   for (const grid::Patch& p : fine.patches()) {
@@ -608,7 +563,7 @@ grid::CCVariable<double> RmcrtComponent::solveSerialTwoLevel(
                             FieldView<double>::fromHost(cSig),
                             FieldView<CellType>::fromHost(cCt)},
                         coarse.cells()};
-    traceDivQ({fineTL, coarseTL}, walls, st, p.cells(),
+    traceDivQ({fineTL, coarseTL}, walls, setup, p.cells(),
               MutableFieldView<double>::fromHost(divQ), setup.pool);
   }
   return divQ;

@@ -19,14 +19,16 @@
 /// Both a CPU trace task and a simulated-GPU trace task are provided; the
 /// GPU variant stages data through the GpuDataWarehouse (shared level
 /// database) and runs the kernel on device streams — the paper's
-/// Section III-C data path.
+/// Section III-C data path. Every trace task builds one Tracer from
+/// RmcrtSetup::trace, so the spectral band model (TraceConfig::bands)
+/// reaches every pipeline, the GPU kernel included, through the same
+/// single record set and device upload as the gray solver.
 
 #include <memory>
 
 #include "amr/amr_engine.h"
 #include "core/problems.h"
 #include "core/ray_tracer.h"
-#include "core/spectral.h"
 #include "gpu/gpu_data_warehouse.h"
 #include "runtime/scheduler.h"
 
@@ -66,12 +68,6 @@ struct RmcrtSetup {
   /// properties outside fine coverage are step-invariant (true for the
   /// analytic samplers; see PackedLevelCache). nullptr: pack per Tracer.
   std::shared_ptr<PackedLevelCache> packedCache;
-  /// Spectral band model. Empty (default): the gray solver, exactly as
-  /// before. Non-empty: every trace task runs the SpectralTracer band
-  /// loop — all bands sharing one PackedCell record set (and, on the
-  /// GPU path, one device upload) — accumulating per-band divQ. A
-  /// single {weight=1, kappaScale=1} band is bitwise the gray solver.
-  BandModel bands;
 };
 
 /// Task-registration entry points. Call the same function on every rank's

@@ -8,9 +8,10 @@
 /// the quantity Figure 1 / Table I of the paper measures.
 ///
 /// Faithfulness notes versus Uintah:
-///  * Requests are managed by a pluggable container — the wait-free pool
-///    (paper Algorithm 1) or the legacy locked queue — so the paper's
-///    before/after comparison runs through the production code path.
+///  * Outstanding requests live in the wait-free pool (paper Algorithm
+///    1). The legacy locked queue it replaced (comm/locked_queue.h) stays
+///    for the comm bench and calibration, which reproduce the paper's
+///    before/after comparison on the containers directly.
 ///  * Within a phase, a patch's task runs as soon as its own messages have
 ///    arrived (asynchronous, out-of-order across patches). Distinct task
 ///    declarations execute as ordered phases: a simplification of
@@ -20,7 +21,7 @@
 ///    variables, mirroring Uintah's getRegion "memory it does not own".
 ///
 /// Resilience: dependency messages route through a ReliableChannel
-/// (sequence numbers + acks + retransmit) by default, so injected or real
+/// (sequence numbers + acks + retransmit), so injected or real
 /// message loss is recovered transparently; a watchdog in the execute loop
 /// dumps a diagnostic snapshot, forces retransmission, and — after a
 /// configurable number of strikes — fails the timestep with a structured
@@ -34,7 +35,6 @@
 #include <vector>
 
 #include "comm/communicator.h"
-#include "comm/locked_queue.h"
 #include "comm/reliable_channel.h"
 #include "comm/request_pool.h"
 #include "grid/grid.h"
@@ -49,13 +49,6 @@ class ThreadPool;
 }
 
 namespace rmcrt::runtime {
-
-/// Which outstanding-request container the scheduler uses (paper §IV-A).
-enum class RequestContainer {
-  WaitFreePool,      ///< Algorithm 1 (the paper's "after")
-  LockedSerialized,  ///< coarse-grained critical section ("before", safe)
-  LockedRacy,        ///< original defective design (leaks under threads)
-};
 
 /// Thrown by executeTimestep() when the watchdog declares the timestep
 /// dead: no request completed and no task became runnable within the
@@ -83,9 +76,6 @@ class TimestepStalled : public std::runtime_error {
 
 /// Resilience knobs for one scheduler.
 struct SchedulerConfig {
-  /// Route dependency messages through the ReliableChannel. When false,
-  /// messages go straight to the communicator (the pre-resilience path).
-  bool reliableComm = true;
   comm::ReliableChannel::Config channel{};
   /// Seconds without progress before a watchdog strike (diagnostic dump +
   /// forced retransmission). <= 0 disables the watchdog.
@@ -111,7 +101,7 @@ struct SchedulerStats {
   std::uint64_t messagesReceived = 0;
   std::uint64_t bytesReceived = 0;
   std::uint64_t tasksExecuted = 0;
-  // Resilience counters (nonzero only with reliableComm):
+  // Resilience counters (from the reliable channel):
   std::uint64_t retransmits = 0;
   std::uint64_t duplicatesDiscarded = 0;
   double maxBackoffMs = 0.0;
@@ -126,7 +116,6 @@ class Scheduler {
   Scheduler(std::shared_ptr<const grid::Grid> grid,
             std::shared_ptr<const grid::LoadBalancer> lb,
             comm::Communicator& world, int rank,
-            RequestContainer container = RequestContainer::WaitFreePool,
             SchedulerConfig config = SchedulerConfig{});
 
   ~Scheduler();
@@ -170,8 +159,7 @@ class Scheduler {
 
   const SchedulerStats& stats() const { return m_stats; }
 
-  /// Publish this rank's stats (plus its reliable channel's, when
-  /// enabled) into \p reg as gauges under \p prefix — e.g.
+  /// Publish this rank's stats (plus its reliable channel's) into \p reg as gauges under \p prefix — e.g.
   /// "scheduler.rank0.messages_sent". Gauges, not counters: resetStats()
   /// restarts the underlying totals each timestep, so callers wanting a
   /// monotone series accumulate snapshots across recordTimestep() calls.
@@ -184,9 +172,10 @@ class Scheduler {
     m_waitAcc.reset();
   }
 
-  /// The reliability endpoint, when reliableComm is enabled.
-  const comm::ReliableChannel* channel() const { return m_channel.get(); }
-  comm::ReliableChannel* channel() { return m_channel.get(); }
+  /// The reliability endpoint every dependency message goes through
+  /// (never null).
+  const comm::ReliableChannel* channel() const { return &m_channel; }
+  comm::ReliableChannel* channel() { return &m_channel; }
 
   /// Classify the ranks this scheduler is currently blocked on by
   /// aggregating its pending receives per source and checking whether the
@@ -236,15 +225,8 @@ class Scheduler {
   std::unique_ptr<DataWarehouse> m_newDW;
   std::vector<Task> m_tasks;
 
-  RequestContainer m_containerKind;
   comm::WaitFreeRequestPool m_pool;
-  comm::LockedRequestQueue m_lockedQueue;
-  std::unique_ptr<comm::ReliableChannel> m_channel;
-
-  /// Uniform view over the two container kinds.
-  void containerAdd(comm::CommNode node);
-  int containerProcessReady();
-  std::size_t containerPending() const;
+  comm::ReliableChannel m_channel;
 
   SchedulerStats m_stats;
   AtomicTimeAccumulator m_localCommAcc;

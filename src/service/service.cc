@@ -13,7 +13,6 @@ using core::PackedCell;
 using core::PackedFieldView;
 using core::PackedLevelField;
 using core::RadiationFieldsView;
-using core::SpectralTracer;
 using core::TraceLevel;
 using core::Tracer;
 using core::WallProperties;
@@ -133,10 +132,6 @@ struct Service::RequestExec {
   std::shared_ptr<SceneState> scene;
   Generation servedGeneration = 0;
   std::unique_ptr<Tracer> tracer;
-  /// Band-loop driver for scenes registered with a non-empty band model;
-  /// null for gray scenes. Its tiles drain through the same
-  /// computeDivQBatch as gray ones (DivQTileJob::spectral dispatch).
-  std::unique_ptr<SpectralTracer> spectral;
   std::vector<double> out;  ///< divQ sink (request-scoped)
   std::vector<double> fluxOut;
   core::RadiometerReading reading;
@@ -259,23 +254,6 @@ std::unique_ptr<Tracer> Service::makeSharedTracer(const SceneState& s,
   return std::make_unique<Tracer>(
       std::vector<TraceLevel>{fineTL, coarseTL}, wallsOf(s.setup.problem),
       s.setup.trace);
-}
-
-std::unique_ptr<SpectralTracer> Service::makeSharedSpectral(
-    const SceneState& s, const CellRange& roi) const {
-  const grid::Level& fine = s.grid->fineLevel();
-  const grid::Level& coarse = s.grid->coarseLevel();
-  // Both levels already carry packed views (the scene's shared records and
-  // the one device upload), so the SpectralTracer re-packs nothing: the
-  // whole band loop rides the same state a gray tenant uses.
-  TraceLevel fineTL{LevelGeom::from(fine), viewsOf(s.fAbs, s.fSig, s.fCt),
-                    roi, s.finePacked.view()};
-  TraceLevel coarseTL{
-      LevelGeom::from(coarse), RadiationFieldsView{}, coarse.cells(),
-      PackedFieldView::fromDevice(*s.coarseDev, s.coarsePacked.hasWalls())};
-  return std::make_unique<SpectralTracer>(
-      std::vector<TraceLevel>{fineTL, coarseTL}, wallsOf(s.setup.problem),
-      s.setup.trace, s.setup.bands);
 }
 
 std::future<Outcome<DivQResult>> Service::submitDivQ(DivQQuery q) {
@@ -531,15 +509,11 @@ void Service::processBatched(
     exec->tracer = makeSharedTracer(s, roi);
 
     if (req.kind == PendingRequest::Kind::DivQ) {
-      // Spectral scenes drain through the exact same tile-job pool as
-      // gray ones; flux/radiometer QoIs stay on the gray-mean tracer.
-      if (!s.setup.bands.empty()) exec->spectral = makeSharedSpectral(s, roi);
       exec->out.assign(static_cast<std::size_t>(req.cells.volume()), 0.0);
       const core::MutableFieldView<double> sink(exec->out.data(), req.cells);
       for (const CellRange& tile :
            core::tileCells(req.cells, s.setup.trace.tileSize))
-        jobs.push_back(Tracer::DivQTileJob{exec->tracer.get(), tile, sink,
-                                           exec->spectral.get()});
+        jobs.push_back(Tracer::DivQTileJob{exec->tracer.get(), tile, sink});
     } else {
       pointwise.push_back(exec.get());
     }
@@ -628,15 +602,7 @@ void Service::processNaive(PendingRequest& req) {
       case PendingRequest::Kind::DivQ: {
         exec.out.assign(static_cast<std::size_t>(req.cells.volume()), 0.0);
         const core::MutableFieldView<double> sink(exec.out.data(), req.cells);
-        if (s.setup.bands.empty()) {
-          tracer.computeDivQ(req.cells, sink, m_pool);
-        } else {
-          // Naive-mode band loop over this request's private records —
-          // bitwise the batched answer, at per-request pack/upload cost.
-          SpectralTracer spectral({fineTL, coarseTL}, wallsOf(s.setup.problem),
-                                  s.setup.trace, s.setup.bands);
-          spectral.computeDivQ(req.cells, sink, m_pool);
-        }
+        tracer.computeDivQ(req.cells, sink, m_pool);
         break;
       }
       case PendingRequest::Kind::Flux: {
@@ -772,15 +738,9 @@ DivQResult Service::solveDivQOneShot(const grid::Grid& grid,
   DivQResult res;
   res.window = cells;
   res.divQ.assign(static_cast<std::size_t>(cells.volume()), 0.0);
-  const core::MutableFieldView<double> sink(res.divQ.data(), cells);
-  if (setup.bands.empty()) {
-    Tracer tracer({fineTL, coarseTL}, wallsOf(setup.problem), setup.trace);
-    tracer.computeDivQ(cells, sink);
-  } else {
-    SpectralTracer tracer({fineTL, coarseTL}, wallsOf(setup.problem),
-                          setup.trace, setup.bands);
-    tracer.computeDivQ(cells, sink);
-  }
+  Tracer tracer({fineTL, coarseTL}, wallsOf(setup.problem), setup.trace);
+  tracer.computeDivQ(cells,
+                     core::MutableFieldView<double>(res.divQ.data(), cells));
   return res;
 }
 

@@ -10,7 +10,10 @@
 /// units (Tracer::DivQTileJob) and drains them across one shared
 /// ThreadPool — so one PackedLevelCache-style fused record set and ONE
 /// simulated-GPU coarse-level upload serve every tenant on a scene
-/// generation. The coarse upload is invalidated only when the scene
+/// generation. A scene whose setup carries a spectral band model
+/// (TraceConfig::bands) takes the same path: its tile jobs loop over the
+/// bands inside the tile, and its flux and radiometer probes march the
+/// gray-mean field. The coarse upload is invalidated only when the scene
 /// changes: updateProperties()/regrid() bump the generation, evict the
 /// shared packed records, and invalidate the scene's slot in the GPU
 /// level database.
@@ -265,15 +268,11 @@ class Service {
   /// coarse-level device upload. Caller holds scene.mu.
   void ensureSharedLocked(SceneState& s, SceneId id);
   /// Per-request Tracer against the scene's shared packed state. `roi`
-  /// is the fine-level allowed box. Caller holds scene.mu.
+  /// is the fine-level allowed box. Every band of the scene's band model
+  /// (TraceConfig::bands) marches these same records and the one coarse
+  /// device upload. Caller holds scene.mu.
   std::unique_ptr<core::Tracer> makeSharedTracer(const SceneState& s,
                                                  const CellRange& roi) const;
-  /// Per-request SpectralTracer for scenes registered with a non-empty
-  /// band model: every band aliases the scene's shared packed records and
-  /// the single coarse device upload (kappa scaling happens in the march,
-  /// so bands add zero pack/upload cost). Caller holds scene.mu.
-  std::unique_ptr<core::SpectralTracer> makeSharedSpectral(
-      const SceneState& s, const CellRange& roi) const;
 
   /// Admission + fault model + enqueue, shared by the three submit
   /// fronts. Shed requests are rejected (typed) before queueing.

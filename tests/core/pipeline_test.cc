@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -21,7 +23,6 @@ namespace {
 using grid::CCVariable;
 using grid::Grid;
 using grid::LoadBalancer;
-using runtime::RequestContainer;
 using runtime::Scheduler;
 
 RmcrtSetup smallSetup() {
@@ -130,6 +131,45 @@ TEST(RmcrtPipeline, GpuPipelineMatchesSerialExactly) {
     EXPECT_GT(dev->stats().h2dBytes, 0u);
     EXPECT_GT(dev->stats().d2hBytes, 0u);
   }
+}
+
+TEST(RmcrtPipeline, GpuBandedPipelineMatchesSerialBitwise) {
+  // The 3-band model through the simulated-GPU trace task: every band
+  // marches the one device upload, and the result is bitwise the serial
+  // two-level solve with the same band model.
+  auto grid = Grid::makeTwoLevel(Vector(0.0), Vector(1.0), IntVector(16),
+                                 IntVector(4), IntVector(4), IntVector(4));
+  RmcrtSetup setup = smallSetup();
+  setup.trace.bands = threeband();
+  const int numRanks = 2;
+  std::vector<std::unique_ptr<gpu::GpuDevice>> devices;
+  std::vector<std::unique_ptr<gpu::GpuDataWarehouse>> gdws;
+  for (int r = 0; r < numRanks; ++r) {
+    gpu::GpuDevice::Config cfg;
+    cfg.globalMemoryBytes = 256 << 20;
+    devices.push_back(std::make_unique<gpu::GpuDevice>(cfg));
+    gdws.push_back(std::make_unique<gpu::GpuDataWarehouse>(*devices.back()));
+  }
+  auto scheds = runDistributed(grid, numRanks, setup, true, &devices, &gdws);
+
+  const CCVariable<double> serial =
+      RmcrtComponent::solveSerialTwoLevel(*grid, setup);
+  const CCVariable<double> gray =
+      RmcrtComponent::solveSerialTwoLevel(*grid, smallSetup());
+  bool bandsDiffer = false;
+  for (auto& s : scheds) {
+    for (int pid : s->loadBalancer().patchesOf(s->rank(), *grid, 1)) {
+      const auto& divQ = s->newDW().get<double>(RmcrtLabels::divQ, pid);
+      for (const auto& c : grid->patchById(pid)->cells()) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(divQ[c]),
+                  std::bit_cast<std::uint64_t>(serial[c]))
+            << "patch " << pid << " cell " << c;
+        bandsDiffer |= serial[c] != gray[c];
+      }
+    }
+  }
+  EXPECT_TRUE(bandsDiffer) << "the band model must change divQ";
+  for (auto& gdw : gdws) EXPECT_EQ(gdw->numLevelVarCopies(), 1u);
 }
 
 TEST(RmcrtPipeline, SingleLevelPipelineMatchesSerial) {

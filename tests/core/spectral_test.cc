@@ -1,4 +1,5 @@
-#include "core/spectral.h"
+/// The spectral band model (TraceConfig::bands): the band loop runs
+/// inside the one Tracer, and the single gray band is the gray solver.
 
 #include <gtest/gtest.h>
 
@@ -6,6 +7,7 @@
 #include <vector>
 
 #include "core/problems.h"
+#include "core/ray_tracer.h"
 #include "grid/grid.h"
 #include "util/thread_pool.h"
 
@@ -53,23 +55,24 @@ TEST(BandModel, ThreebandIsPlanckConsistent) {
 }
 
 TEST(SpectralTracer, SingleGrayBandMatchesGrayTracerExactly) {
+  // The gray band {a=1, s=1} folds into divQ as the unscaled gray
+  // estimator 4*pi*kappa*(sigmaT4/pi - meanI), bitwise.
   SpectralHarness h(burnsChriston());
   TraceConfig cfg;
   cfg.nDivQRays = 16;
   cfg.seed = 9;
+  cfg.bands = grayBand();
 
-  SpectralTracer spectral(h.levels(), h.walls, cfg, grayBand());
+  Tracer spectral(h.levels(), h.walls, cfg);
   CCVariable<double> sq(h.grid->fineLevel().cells(), 0.0);
   spectral.computeDivQ(h.grid->fineLevel().cells(),
                        MutableFieldView<double>::fromHost(sq));
 
-  Tracer gray(h.levels(), h.walls, cfg);
-  CCVariable<double> gq(h.grid->fineLevel().cells(), 0.0);
-  gray.computeDivQ(h.grid->fineLevel().cells(),
-                   MutableFieldView<double>::fromHost(gq));
-
-  for (const auto& c : sq.window())
-    EXPECT_DOUBLE_EQ(sq[c], gq[c]) << "cell " << c;
+  for (const auto& c : sq.window()) {
+    const double gq = 4.0 * M_PI * h.abskg[c] *
+                      (h.sig[c] - spectral.meanIncomingIntensity(c));
+    EXPECT_DOUBLE_EQ(sq[c], gq) << "cell " << c;
+  }
 }
 
 TEST(SpectralTracer, EquilibriumStillZero) {
@@ -79,7 +82,8 @@ TEST(SpectralTracer, EquilibriumStillZero) {
   TraceConfig cfg;
   cfg.nDivQRays = 8;
   cfg.threshold = 1e-12;
-  SpectralTracer spectral(h.levels(), h.walls, cfg, threeband());
+  cfg.bands = threeband();
+  Tracer spectral(h.levels(), h.walls, cfg);
   CCVariable<double> q(h.grid->fineLevel().cells(), 0.0);
   spectral.computeDivQ(h.grid->fineLevel().cells(),
                        MutableFieldView<double>::fromHost(q));
@@ -97,8 +101,9 @@ TEST(SpectralTracer, WindowBandLosesMoreFromTheCenter) {
   cfg.nDivQRays = 300;
   cfg.threshold = 1e-9;
 
-  SpectralTracer spectral(h.levels(), h.walls, cfg, threeband());
   Tracer gray(h.levels(), h.walls, cfg);
+  cfg.bands = threeband();
+  Tracer spectral(h.levels(), h.walls, cfg);
 
   const IntVector center(8, 8, 8);
   CCVariable<double> sq(CellRange(center, center + IntVector(1)), 0.0);
@@ -119,8 +124,11 @@ TEST(SpectralTracer, BandIntensitiesOrderedByOpacity) {
   TraceConfig cfg;
   cfg.nDivQRays = 400;
   cfg.threshold = 1e-9;
-  SpectralTracer spectral(h.levels(), h.walls, cfg, threeband());
-  const auto I = spectral.bandIntensities(IntVector(8, 8, 8));
+  cfg.bands = threeband();
+  Tracer spectral(h.levels(), h.walls, cfg);
+  std::vector<double> I;
+  for (std::size_t b = 0; b < spectral.config().bands.size(); ++b)
+    I.push_back(spectral.meanIncomingIntensity(IntVector(8, 8, 8), b));
   ASSERT_EQ(I.size(), 3u);
   EXPECT_LT(I[0], I[1]);  // window < moderate
   EXPECT_LT(I[1], I[2]);  // moderate < strong
@@ -134,7 +142,8 @@ TEST(SpectralTracer, TiledBatchMatchesFullSolveBitwise) {
   TraceConfig cfg;
   cfg.nDivQRays = 8;
   cfg.seed = 5;
-  SpectralTracer spectral(h.levels(), h.walls, cfg, threeband());
+  cfg.bands = threeband();
+  Tracer spectral(h.levels(), h.walls, cfg);
   const CellRange cells = h.grid->fineLevel().cells();
 
   CCVariable<double> whole(cells, 0.0);
@@ -145,7 +154,7 @@ TEST(SpectralTracer, TiledBatchMatchesFullSolveBitwise) {
       MutableFieldView<double>::fromHost(tiled);
   std::vector<Tracer::DivQTileJob> jobs;
   for (const CellRange& tile : tileCells(cells, IntVector(5, 3, 7)))
-    jobs.push_back(Tracer::DivQTileJob{nullptr, tile, sink, &spectral});
+    jobs.push_back(Tracer::DivQTileJob{&spectral, tile, sink});
   ThreadPool pool(4);
   Tracer::computeDivQBatch(jobs, &pool);
 
@@ -161,14 +170,15 @@ TEST(SpectralTracer, AdaptiveBudgetsPropagateThroughBands) {
   TraceConfig fixed;
   fixed.nDivQRays = 16;
   fixed.seed = 5;
+  fixed.bands = threeband();
   TraceConfig adaptive = fixed;
   adaptive.adaptiveRays = true;
   adaptive.nPilotRays = 4;
   adaptive.errorTarget = 0.05;
   const CellRange cells = h.grid->fineLevel().cells();
 
-  SpectralTracer sf(h.levels(), h.walls, fixed, threeband());
-  SpectralTracer sa(h.levels(), h.walls, adaptive, threeband());
+  Tracer sf(h.levels(), h.walls, fixed);
+  Tracer sa(h.levels(), h.walls, adaptive);
   CCVariable<double> qf(cells, 0.0), qa(cells, 0.0);
   sf.computeDivQ(cells, MutableFieldView<double>::fromHost(qf));
   sa.computeDivQ(cells, MutableFieldView<double>::fromHost(qa));
@@ -180,30 +190,22 @@ TEST(SpectralTracer, AdaptiveBudgetsPropagateThroughBands) {
   for (const auto& c : cells) ASSERT_EQ(qa[c], qa2[c]) << "cell " << c;
 }
 
-TEST(SpectralTracer, SharedPackAcrossBands) {
-  // One record set serves every band: the three-band tracer's levels all
-  // alias the same packed view (kappa scaling lives in the march), so
-  // per-band memory is O(1), not O(bands).
-  SpectralHarness h(burnsChriston());
-  TraceConfig cfg;
-  cfg.nDivQRays = 4;
-  SpectralTracer spectral(h.levels(), h.walls, cfg, threeband());
-  const PackedCell* base =
-      spectral.bandTracer(0).levels()[0].packed.data();
-  ASSERT_NE(base, nullptr);
-  for (std::size_t b = 1; b < spectral.numBands(); ++b)
-    EXPECT_EQ(spectral.bandTracer(b).levels()[0].packed.data(), base)
-        << "band " << b << " packed its own copy";
-}
-
 TEST(SpectralTracer, BandCountScalesWork) {
   SpectralHarness h(burnsChriston());
   TraceConfig cfg;
   cfg.nDivQRays = 4;
-  SpectralTracer one(h.levels(), h.walls, cfg, grayBand());
-  SpectralTracer three(h.levels(), h.walls, cfg, threeband());
-  EXPECT_EQ(one.numBands(), 1u);
-  EXPECT_EQ(three.numBands(), 3u);
+  Tracer one(h.levels(), h.walls, cfg);
+  cfg.bands = threeband();
+  Tracer three(h.levels(), h.walls, cfg);
+  EXPECT_EQ(one.config().bands.size(), 1u);
+  EXPECT_EQ(three.config().bands.size(), 3u);
+
+  // Every band re-marches the tile, so three bands trace more segments.
+  const CellRange cells = h.grid->fineLevel().cells();
+  CCVariable<double> q(cells, 0.0);
+  one.computeDivQ(cells, MutableFieldView<double>::fromHost(q));
+  three.computeDivQ(cells, MutableFieldView<double>::fromHost(q));
+  EXPECT_GT(three.segmentCount(), one.segmentCount());
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
 /// Edge-case and robustness tests for the marching kernel: anisotropic
 /// cells, axis-aligned directions (zero direction components), domains
-/// not anchored at the origin, center-emission mode, and DOM mesh
-/// convergence.
+/// not anchored at the origin, center-emission mode, band-model
+/// validation, and DOM mesh convergence.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 
 #include "core/dom_solver.h"
 #include "core/problems.h"
@@ -119,6 +121,42 @@ TEST(TracerEdge, CellCenterEmissionModeIsDeterministic) {
   Tracer b({tl}, WallProperties{0.0, 1.0}, cfg);
   const IntVector probe(3, 4, 5);
   EXPECT_EQ(a.meanIncomingIntensity(probe), b.meanIncomingIntensity(probe));
+}
+
+TEST(TracerEdge, RejectsInvalidBandModel) {
+  // divQ is a sum over TraceConfig::bands: an empty model would leave
+  // divQ unwritten, and a non-finite or non-positive kappa scale or a
+  // non-finite weight would fill it with garbage. The constructor throws
+  // instead, in every build type.
+  auto grid = Grid::makeSingleLevel(Vector(0.0), Vector(1.0), IntVector(4),
+                                    IntVector(4));
+  CCVariable<double> abskg(grid->fineLevel().cells(), 1.0);
+  CCVariable<double> sig(grid->fineLevel().cells(), 1.0);
+  CCVariable<CellType> ct(grid->fineLevel().cells(), CellType::Flow);
+  const TraceLevel tl{LevelGeom::from(grid->fineLevel()),
+                      RadiationFieldsView{FieldView<double>::fromHost(abskg),
+                                          FieldView<double>::fromHost(sig),
+                                          FieldView<CellType>::fromHost(ct)},
+                      grid->fineLevel().cells()};
+  const auto make = [&](BandModel bands) {
+    TraceConfig cfg;
+    cfg.bands = std::move(bands);
+    return Tracer({tl}, WallProperties{}, cfg);
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(make(BandModel{}), std::invalid_argument);
+  EXPECT_THROW(make({SpectralBand{1.0, 0.0}}), std::invalid_argument);
+  EXPECT_THROW(make({SpectralBand{1.0, -0.5}}), std::invalid_argument);
+  EXPECT_THROW(make({SpectralBand{1.0, inf}}), std::invalid_argument);
+  EXPECT_THROW(make({SpectralBand{1.0, nan}}), std::invalid_argument);
+  EXPECT_THROW(make({SpectralBand{0.5, 1.0}, SpectralBand{nan, 2.0}}),
+               std::invalid_argument);
+  EXPECT_THROW(make({SpectralBand{inf, 1.0}}), std::invalid_argument);
+  EXPECT_NO_THROW(make(threeband()));
+  // A zero or negative weight is a legal (if odd) band: it scales that
+  // band's share, it cannot poison the sum.
+  EXPECT_NO_THROW(make({SpectralBand{0.0, 1.0}, SpectralBand{1.0, 1.0}}));
 }
 
 TEST(DomConvergence, RefiningTheMeshConverges) {

@@ -32,14 +32,13 @@ double fingerprint(const IntVector& c, int level) {
 void runRanks(std::shared_ptr<const Grid> grid, int numRanks,
               const std::function<void(Scheduler&)>& configure,
               const std::function<void(Scheduler&)>& verify,
-              RequestContainer container = RequestContainer::WaitFreePool,
               grid::LbStrategy strategy = grid::LbStrategy::Block) {
   auto lb = std::make_shared<LoadBalancer>(*grid, numRanks, strategy);
   comm::Communicator world(numRanks);
   std::vector<std::unique_ptr<Scheduler>> scheds;
   for (int r = 0; r < numRanks; ++r)
     scheds.push_back(
-        std::make_unique<Scheduler>(grid, lb, world, r, container));
+        std::make_unique<Scheduler>(grid, lb, world, r));
 
   std::vector<std::thread> threads;
   for (int r = 0; r < numRanks; ++r) {
@@ -78,8 +77,12 @@ TEST(Scheduler, LocalComputeNoCommunication) {
       });
 }
 
-class SchedulerContainers
-    : public ::testing::TestWithParam<RequestContainer> {};
+/// The scheduler's request container. The wait-free pool (paper
+/// Algorithm 1) is the only one; the suite keeps its parameter so the
+/// instance keeps its name.
+enum class Container { WaitFree };
+
+class SchedulerContainers : public ::testing::TestWithParam<Container> {};
 
 TEST_P(SchedulerContainers, GhostExchangeAcrossRanks) {
   auto grid = Grid::makeSingleLevel(Vector(0.0), Vector(1.0), IntVector(16),
@@ -100,18 +103,12 @@ TEST_P(SchedulerContainers, GhostExchangeAcrossRanks) {
         consume.addRequires(Requires{"phi", VarType::Double, 0, ng, false});
         s.addTask(std::move(consume));
       },
-      [](Scheduler& s) { EXPECT_GT(s.stats().tasksExecuted, 0u); },
-      GetParam());
+      [](Scheduler& s) { EXPECT_GT(s.stats().tasksExecuted, 0u); });
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Containers, SchedulerContainers,
-    ::testing::Values(RequestContainer::WaitFreePool,
-                      RequestContainer::LockedSerialized),
-    [](const auto& info) {
-      return info.param == RequestContainer::WaitFreePool ? "WaitFree"
-                                                          : "LockedSerial";
-    });
+INSTANTIATE_TEST_SUITE_P(Containers, SchedulerContainers,
+                         ::testing::Values(Container::WaitFree),
+                         [](const auto&) { return "WaitFree"; });
 
 TEST(Scheduler, WholeLevelReplication) {
   // The paper's "infinite ghost cells": every rank needs the whole coarse
@@ -273,8 +270,7 @@ TEST(Scheduler, MortonLoadBalancedExchangeMatches) {
         consume.addRequires(Requires{"phi", VarType::Double, 0, 2, false});
         s.addTask(std::move(consume));
       },
-      [](Scheduler&) {}, RequestContainer::WaitFreePool,
-      grid::LbStrategy::Morton);
+      [](Scheduler&) {}, grid::LbStrategy::Morton);
 }
 
 }  // namespace

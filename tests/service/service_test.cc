@@ -355,6 +355,69 @@ TEST(ServiceTest, NaiveModeMatchesBatchedBitwiseButUploadsPerRequest) {
       << "the baseline re-uploads per request — the cost batching removes";
 }
 
+TEST(ServiceTest, BandedAndGrayScenesShareOneBatchBitwiseIdenticalToOneShot) {
+  // A scene with a spectral band model (TraceConfig::bands) drains in the
+  // same batch as a gray scene, batched and naive alike, and each answer
+  // is bitwise the one-shot solve of its own setup. Flux probes on the
+  // banded scene march the gray-mean field.
+  auto g = makeScene();
+  const RmcrtSetup gray = makeSetup(4);
+  RmcrtSetup banded = gray;
+  banded.trace.bands = core::threeband();
+  const auto slabs = tenantSlabs(*g, 4);
+  const std::vector<std::pair<IntVector, IntVector>> faces = {
+      {IntVector(0, 8, 8), IntVector(-1, 0, 0)},
+      {IntVector(15, 3, 9), IntVector(1, 0, 0)}};
+
+  for (const bool batching : {true, false}) {
+    SCOPED_TRACE(batching ? "batched" : "naive");
+    ServiceConfig cfg;
+    cfg.batching = batching;
+    Service svc(cfg);
+    const SceneHandle hg = svc.registerScene(g, gray);
+    const SceneHandle hb = svc.registerScene(g, banded);
+
+    // Paused, so every query below lands in one drain.
+    svc.pause();
+    std::vector<std::future<Outcome<DivQResult>>> grayFuts, bandFuts;
+    for (int t = 0; t < 4; ++t) {
+      const std::string tenant = "t" + std::to_string(t);
+      grayFuts.push_back(svc.submitDivQ(DivQQuery{tenant, hg.id, 0, slabs[t]}));
+      bandFuts.push_back(svc.submitDivQ(DivQQuery{tenant, hb.id, 0, slabs[t]}));
+    }
+    auto fluxFut = svc.submitBoundaryFlux(FluxQuery{"flux", hb.id, 0, faces});
+    svc.resume();
+
+    bool bandsDiffer = false;
+    for (int t = 0; t < 4; ++t) {
+      const Outcome<DivQResult> og = grayFuts[t].get();
+      const Outcome<DivQResult> ob = bandFuts[t].get();
+      ASSERT_TRUE(og.ok() && ob.ok());
+      const DivQResult refGray = Service::solveDivQOneShot(*g, gray, slabs[t]);
+      const DivQResult refBand =
+          Service::solveDivQOneShot(*g, banded, slabs[t]);
+      ASSERT_EQ(ob.value.divQ.size(), refBand.divQ.size());
+      for (std::size_t i = 0; i < refBand.divQ.size(); ++i) {
+        ASSERT_EQ(og.value.divQ[i], refGray.divQ[i])
+            << "tenant " << t << " gray element " << i;
+        ASSERT_EQ(ob.value.divQ[i], refBand.divQ[i])
+            << "tenant " << t << " banded element " << i;
+        bandsDiffer |= refBand.divQ[i] != refGray.divQ[i];
+      }
+    }
+    EXPECT_TRUE(bandsDiffer) << "the band model must change divQ";
+
+    const Outcome<FluxResult> of = fluxFut.get();
+    ASSERT_TRUE(of.ok());
+    EXPECT_EQ(of.value.fluxes,
+              Service::solveFluxOneShot(*g, gray, faces, 64).fluxes);
+
+    EXPECT_EQ(svc.stats().batches, 1u);
+    EXPECT_EQ(svc.stats().coarseUploads, batching ? 2u : 9u)
+        << "bands share their scene's single upload";
+  }
+}
+
 TEST(ServiceTest, PerTenantMetricsViewsCarryTheSplit) {
   auto g = makeScene();
   Service svc;
