@@ -24,6 +24,7 @@
 #include "core/problems.h"
 #include "core/rmcrt_component.h"
 #include "grid/load_balancer.h"
+#include "grid/operators.h"
 #include "mem/mmap_arena.h"
 #include "runtime/simulation_controller.h"
 #include "runtime/snapshot.h"
@@ -165,7 +166,85 @@ struct SimdReport {
   double simdMsegPerS = 0.0;
   double speedup = 0.0;
   double maxRelErr = 0.0;  ///< worst per-ray |simd - scalar| / |scalar|
+
+  /// The short-ray two-level case (measureShortRays): per-ray setup
+  /// (ray generation, DDA start, refill, level handoff) costs as much as
+  /// the crossings here, unlike on the long rays of the 128^3 grid.
+  struct ShortRays {
+    double segmentsPerRay = 0.0;
+    double scalarNsPerRay = 0.0;
+    double simdNsPerRay = 0.0;
+    double scalarMsegPerS = 0.0;
+    double simdMsegPerS = 0.0;
+  } shortRays;
 };
+
+/// The end-to-end benchmark's geometry on one thread: one 16^3 patch of a
+/// 64^3 Burns & Christon fine level with a 4-cell halo as its region of
+/// interest, over the 16^3 coarse level (refinement ratio 4), 16 rays per
+/// cell through computeDivQ (rays generated in the tile streams, so the
+/// vector generator runs too). Best of \p repeats, scalar and SIMD.
+SimdReport::ShortRays measureShortRays(int repeats) {
+  const int n = 64, ratio = 4, halo = 4;
+  auto fine = grid::Grid::makeSingleLevel(Vector(0.0), Vector(1.0),
+                                          IntVector(n), IntVector(n));
+  const CellRange fineCells = fine->fineLevel().cells();
+  const CellRange coarseCells(IntVector(0), IntVector(n / ratio));
+  grid::CCVariable<double> abskg(fineCells, 0.0), sig(fineCells, 0.0);
+  grid::CCVariable<grid::CellType> ct(fineCells, grid::CellType::Flow);
+  initializeProperties(fine->fineLevel(), burnsChriston(), abskg, sig, ct);
+  grid::CCVariable<double> cAbskg(coarseCells, 0.0), cSig(coarseCells, 0.0);
+  grid::CCVariable<grid::CellType> cCt(coarseCells, grid::CellType::Flow);
+  grid::coarsenAverage(abskg, IntVector(ratio), cAbskg, coarseCells);
+  grid::coarsenAverage(sig, IntVector(ratio), cSig, coarseCells);
+  grid::coarsenCellType(ct, IntVector(ratio), cCt, coarseCells);
+  const LevelGeom fineGeom = LevelGeom::from(fine->fineLevel());
+  const LevelGeom coarseGeom{fineGeom.physLow, fineGeom.dx * Vector(ratio),
+                             coarseCells};
+  const CellRange patch(IntVector(16), IntVector(32));
+  const CellRange roi(patch.low() - IntVector(halo),
+                      patch.high() + IntVector(halo));
+  const auto tracer = [&](bool simd) {
+    TraceConfig cfg;
+    cfg.nDivQRays = 16;
+    cfg.useSimd = simd;
+    std::vector<TraceLevel> levels;
+    levels.emplace_back(
+        fineGeom,
+        RadiationFieldsView{FieldView<double>::fromHost(abskg),
+                            FieldView<double>::fromHost(sig),
+                            FieldView<grid::CellType>::fromHost(ct)},
+        roi);
+    levels.emplace_back(
+        coarseGeom,
+        RadiationFieldsView{FieldView<double>::fromHost(cAbskg),
+                            FieldView<double>::fromHost(cSig),
+                            FieldView<grid::CellType>::fromHost(cCt)},
+        coarseCells);
+    return Tracer(std::move(levels), WallProperties{0.0, 1.0}, cfg);
+  };
+  const double rays = static_cast<double>(patch.volume()) * 16;
+  grid::CCVariable<double> divQ(patch, 0.0);
+  SimdReport::ShortRays r;
+  const auto time = [&](bool simd, double& nsPerRay, double& msegPerS) {
+    Tracer t = tracer(simd);
+    double best = std::numeric_limits<double>::infinity();
+    std::uint64_t segments = 0;
+    for (int k = 0; k < repeats; ++k) {
+      t.resetSegmentCount();
+      Timer timer;
+      t.computeDivQ(patch, MutableFieldView<double>::fromHost(divQ));
+      best = std::min(best, timer.seconds());
+      segments = t.segmentCount();
+    }
+    nsPerRay = best / rays * 1e9;
+    msegPerS = static_cast<double>(segments) / best / 1e6;
+    r.segmentsPerRay = static_cast<double>(segments) / rays;
+  };
+  time(false, r.scalarNsPerRay, r.scalarMsegPerS);
+  time(true, r.simdNsPerRay, r.simdMsegPerS);
+  return r;
+}
 
 SimdReport measureSimdAB(bool smoke) {
   // Full mode uses a 128-cell fixture: that matches the paper's
@@ -219,6 +298,7 @@ SimdReport measureSimdAB(bool smoke) {
     rep.maxRelErr =
         std::max(rep.maxRelErr, std::abs(iSimd[s] - iScalar[s]) / denom);
   }
+  rep.shortRays = measureShortRays(repeats);
   return rep;
 }
 
@@ -311,7 +391,13 @@ void writeThreadSweepJson(const std::string& path, bool smoke) {
       << simd.scalarMsegPerS << ", \"simd_mseg_per_s\": "
       << simd.simdMsegPerS << ", \"speedup\": " << simd.speedup
       << ", \"max_rel_err\": " << std::scientific << simd.maxRelErr
-      << std::fixed << "}\n";
+      << std::fixed << ", \"short_rays\": {\"geometry\": \"64^3/16^3, "
+      << "16^3 patch, halo 4, 16 rays/cell\", \"segments_per_ray\": "
+      << simd.shortRays.segmentsPerRay << ", \"scalar_ns_per_ray\": "
+      << simd.shortRays.scalarNsPerRay << ", \"simd_ns_per_ray\": "
+      << simd.shortRays.simdNsPerRay << ", \"scalar_mseg_per_s\": "
+      << simd.shortRays.scalarMsegPerS << ", \"simd_mseg_per_s\": "
+      << simd.shortRays.simdMsegPerS << "}}\n";
   out << "}\n";
   std::cout << "\nThread sweep baseline written to " << path << "\n";
   for (const Sample& s : samples)
@@ -325,7 +411,13 @@ void writeThreadSweepJson(const std::string& path, bool smoke) {
               << simd.scalarMsegPerS << " Mseg/s (" << simd.speedup
               << "x) at " << simd.gridN << "^3, max rel err "
               << std::scientific << simd.maxRelErr << std::fixed
-              << std::setprecision(6) << "\n";
+              << std::setprecision(6) << "\n"
+              << "  short rays (" << simd.shortRays.segmentsPerRay
+              << " segments/ray, two levels): scalar "
+              << simd.shortRays.scalarNsPerRay << " ns/ray ("
+              << simd.shortRays.scalarMsegPerS << " Mseg/s), simd "
+              << simd.shortRays.simdNsPerRay << " ns/ray ("
+              << simd.shortRays.simdMsegPerS << " Mseg/s)\n";
   else
     std::cout << "not supported on this host (scalar dispatch verified, "
               << std::setprecision(2) << simd.scalarMsegPerS

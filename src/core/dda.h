@@ -1,9 +1,11 @@
 #pragma once
 
 /// \file dda.h
-/// The Amanatides-Woo setup every march starts a level with: the scalar
-/// and the packet march both call ddaStart, so a ray's cell path is
-/// bitwise the same whichever march runs it.
+/// The Amanatides-Woo setup every march starts a level with. The scalar
+/// march calls ddaStart; the packet march runs its IEEE operations in
+/// vector form (setupLanes in packet_pass.inc, pinned to it bitwise by
+/// simd_march_test), so a ray's cell path is bitwise the same whichever
+/// march runs it.
 
 #include <cmath>
 #include <limits>

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "core/dda.h"
+#include "core/ray_setup.h"
 #include "util/metrics.h"
 #include "util/stats.h"
 #include "util/thread_pool.h"
@@ -55,20 +56,35 @@ void foldBand(std::size_t b, double weight, double q, double& out) {
     out += weight * q;
 }
 
-/// Per-thread scratch behind the tile ray streams (Tracer::traceTileRays):
+/// Per-thread scratch behind the ray streams (Tracer::traceTileRays, and
+/// the packet march's structure-of-arrays copy of a caller's rays):
 /// Tracer::kStreamRays entries, allocated once and reused by every later
-/// tile on the same thread, so steady-state streaming allocates nothing
+/// stream on the same thread, so steady-state streaming allocates nothing
 /// and its footprint is bounded whatever the tile size.
 struct StreamScratch {
-  std::vector<Vector> origins, dirs;
+  std::vector<double> pos[3], dir[3];  ///< the rays, kRaySlack past the cap
   std::vector<double> intensity;
   std::vector<std::size_t> cellIndex;  ///< stream slot -> cell of the tile
-};
 
-StreamScratch& streamScratch() {
-  static thread_local StreamScratch s;
-  return s;
-}
+  /// The scratch, allocated on first use.
+  static StreamScratch& get(std::size_t cap) {
+    static thread_local StreamScratch s;
+    if (s.intensity.empty()) {
+      for (int a = 0; a < 3; ++a) {
+        s.pos[a].resize(cap + kRaySlack);
+        s.dir[a].resize(cap + kRaySlack);
+      }
+      s.intensity.resize(cap);
+      s.cellIndex.resize(cap);
+    }
+    return s;
+  }
+
+  RaySoA rays() {
+    return RaySoA{{pos[0].data(), pos[1].data(), pos[2].data()},
+                  {dir[0].data(), dir[1].data(), dir[2].data()}};
+  }
+};
 
 }  // namespace
 
@@ -319,21 +335,36 @@ double Tracer::traceRay(Vector origin, Vector dir,
   return sumI;
 }
 
-void Tracer::traceRaysScalar(int n, const Vector* origins,
-                             const Vector* dirs, double kappaScale,
-                             double* out, std::uint64_t& segments) const {
-  for (int i = 0; i < n; ++i)
-    out[i] = traceRay(origins[i], dirs[i], 0, kappaScale, segments);
-}
-
 void Tracer::traceRays(int n, const Vector* origins, const Vector* dirs,
                        double kappaScale, double* out,
                        std::uint64_t& segments) const {
-  if (n <= 0) return;
-  if (simdActive())
-    traceRaysSimd(n, origins, dirs, kappaScale, out, segments);
-  else
-    traceRaysScalar(n, origins, dirs, kappaScale, out, segments);
+  if (!simdActive()) {
+    for (int i = 0; i < n; ++i)
+      out[i] = traceRay(origins[i], dirs[i], 0, kappaScale, segments);
+    return;
+  }
+  StreamScratch& s = StreamScratch::get(kStreamRays);
+  for (int b = 0; b < n; b += kStreamRays) {
+    const int m = std::min(kStreamRays, n - b);
+    for (int i = 0; i < m; ++i)
+      for (int a = 0; a < 3; ++a) {
+        s.pos[a][static_cast<std::size_t>(i)] = origins[b + i][a];
+        s.dir[a][static_cast<std::size_t>(i)] = dirs[b + i][a];
+      }
+    traceRaysSimd(m, s.rays(), kappaScale, out + b, segments);
+  }
+}
+
+void Tracer::traceRays(int n, const RaySoA& rays, double kappaScale,
+                       double* out, std::uint64_t& segments) const {
+  if (simdActive()) {
+    traceRaysSimd(n, rays, kappaScale, out, segments);
+    return;
+  }
+  for (int i = 0; i < n; ++i)
+    out[i] = traceRay(Vector(rays.pos[0][i], rays.pos[1][i], rays.pos[2][i]),
+                      Vector(rays.dir[0][i], rays.dir[1][i], rays.dir[2][i]),
+                      0, kappaScale, segments);
 }
 
 void Tracer::traceRays(int n, const Vector* origins, const Vector* dirs,
@@ -361,42 +392,63 @@ Tracer::BandTrace Tracer::bandTrace(std::size_t b) const {
                    m_cfg.bands.at(b).kappaScale};
 }
 
-void Tracer::generateRays(const IntVector& cell, std::uint64_t seed,
-                          int rBegin, int rEnd, Vector* origins,
-                          Vector* dirs) const {
-  const LevelGeom& g = m_levels.front().geom;
+void generateRays(const LevelGeom& g, bool jitter, std::uint64_t seed,
+                  const IntVector& cell, int rBegin, int rEnd,
+                  const RaySoA& out) {
   for (int r = rBegin; r < rEnd; ++r) {
     Rng rng(seed, cell, static_cast<std::uint32_t>(r));
     Vector origin;
-    if (m_cfg.jitterRayOrigin) {
+    if (jitter) {
       const Vector lo = g.cellLowCorner(cell);
-      origin = lo + Vector(rng.nextDouble(), rng.nextDouble(),
-                           rng.nextDouble()) *
-                        g.dx;
+      // z draws first: the order GCC evaluated the constructor arguments
+      // in when this was one Vector(draw, draw, draw) expression.
+      const double uz = rng.nextDouble();
+      const double uy = rng.nextDouble();
+      const double ux = rng.nextDouble();
+      origin = lo + Vector(ux, uy, uz) * g.dx;
     } else {
       origin = g.cellCenter(cell);
     }
-    *origins++ = origin;
-    *dirs++ = isotropicDirection(rng);
+    const Vector dir = isotropicDirection(rng);
+    const std::size_t i = static_cast<std::size_t>(r - rBegin);
+    for (int a = 0; a < 3; ++a) {
+      out.pos[a][i] = origin[a];
+      out.dir[a][i] = dir[a];
+    }
   }
+}
+
+LaneSetup laneSetup(const TraceLevel& L, const Vector& pos,
+                    const Vector& dir) {
+  const DdaStart s = ddaStart(L, pos, dir);
+  const PackedFieldView& pf = L.packed;
+  LaneSetup ls;
+  for (int a = 0; a < 3; ++a) {
+    ls.tMax[a] = s.tMax[a];
+    ls.tDelta[a] = s.tDelta[a];
+    ls.cnt[a] = s.step[a] > 0 ? L.allowed.high()[a] - 1 - s.cell[a]
+                              : s.cell[a] - L.allowed.low()[a];
+    ls.stride[a] =
+        pf.laneStride(a, s.step[a]) * PackedFieldView::kRecordBytes;
+  }
+  ls.off = pf.offsetOf(IntVector(s.cell[0], s.cell[1], s.cell[2])) *
+           PackedFieldView::kRecordBytes;
+  return ls;
 }
 
 template <class RayRange, class Consume>
 void Tracer::traceTileRays(const CellRange& tile, const BandTrace& band,
                            RayRange rays, Consume consume,
                            std::uint64_t& segments) const {
-  StreamScratch& s = streamScratch();
   constexpr std::size_t cap = kStreamRays;
-  if (s.origins.empty()) {
-    s.origins.resize(cap);
-    s.dirs.resize(cap);
-    s.intensity.resize(cap);
-    s.cellIndex.resize(cap);
-  }
+  StreamScratch& s = StreamScratch::get(cap);
+  const RayGenerator generate =
+      simdActive() ? simdRayGenerator() : generateRays;
+  const LevelGeom& g = m_levels.front().geom;
   std::size_t n = 0;
   const auto flush = [&] {
-    traceRays(static_cast<int>(n), s.origins.data(), s.dirs.data(),
-              band.kappaScale, s.intensity.data(), segments);
+    traceRays(static_cast<int>(n), s.rays(), band.kappaScale,
+              s.intensity.data(), segments);
     for (std::size_t k = 0; k < n; ++k)
       consume(s.cellIndex[k], s.intensity[k]);
     n = 0;
@@ -410,7 +462,8 @@ void Tracer::traceTileRays(const CellRange& tile, const BandTrace& band,
     for (int r = rBegin; r < rEnd;) {
       const int take = static_cast<int>(
           std::min(static_cast<std::size_t>(rEnd - r), cap - n));
-      generateRays(c, band.seed, r, r + take, &s.origins[n], &s.dirs[n]);
+      generate(g, m_cfg.jitterRayOrigin, band.seed, c, r, r + take,
+               s.rays().at(static_cast<int>(n)));
       std::fill_n(s.cellIndex.begin() + static_cast<std::ptrdiff_t>(n),
                   take, i);
       n += static_cast<std::size_t>(take);

@@ -48,6 +48,8 @@ class ThreadPool;
 
 namespace rmcrt::core {
 
+struct RaySoA;  // core/ray_setup.h
+
 /// Geometric description of one mesh level, detached from grid::Level so
 /// kernels can run against device-resident metadata.
 struct LevelGeom {
@@ -416,16 +418,17 @@ class Tracer {
                   double kappaScale, std::uint64_t& segments) const;
 
   /// traceRays with a band's kappa scale and a caller-owned segment
-  /// counter: the single dispatch between the packet march and the
-  /// scalar loop.
+  /// counter. The packet march reads structure-of-arrays rays, so it
+  /// takes these a stream at a time through per-thread scratch.
   void traceRays(int n, const Vector* origins, const Vector* dirs,
                  double kappaScale, double* out,
                  std::uint64_t& segments) const;
 
-  /// The scalar per-ray loop, bitwise identical to traceRay.
-  void traceRaysScalar(int n, const Vector* origins, const Vector* dirs,
-                       double kappaScale, double* out,
-                       std::uint64_t& segments) const;
+  /// The single dispatch between the packet march and the scalar loop
+  /// (bitwise identical to traceRay per ray), over rays in
+  /// structure-of-arrays form.
+  void traceRays(int n, const RaySoA& rays, double kappaScale, double* out,
+                 std::uint64_t& segments) const;
 
   /// The packet march (ray_tracer_simd.cc, DESIGN.md §14): one packet
   /// pass per level. Level 0's pass marches the given rays; each ray
@@ -434,10 +437,10 @@ class Tracer {
   /// transmissivity, and the next level's pass marches that buffer from
   /// the carried state. Runtime dispatch picks the AVX-512 or AVX2
   /// instantiation; both give bitwise-equal results. Callers must check
-  /// simdActive() first.
-  void traceRaysSimd(int n, const Vector* origins, const Vector* dirs,
-                     double kappaScale, double* out,
-                     std::uint64_t& segments) const;
+  /// simdActive() first, and every array of \p rays holds kRaySlack
+  /// entries past the last ray.
+  void traceRaysSimd(int n, const RaySoA& rays, double kappaScale,
+                     double* out, std::uint64_t& segments) const;
 
   /// One band's march: the seed its rays draw from and its kappa scale.
   struct BandTrace {
@@ -448,19 +451,14 @@ class Tracer {
   /// bands do not share sample paths and band 0 keeps cfg.seed.
   BandTrace bandTrace(std::size_t b) const;
 
-  /// Origins and directions of rays [rBegin, rEnd) of \p cell (a cell of
-  /// levels[0]): ray r draws from Rng(seed, cell, r) whichever pass,
-  /// stream or entry point asks for it — the one ray generator of the
-  /// divQ estimator.
-  void generateRays(const IntVector& cell, std::uint64_t seed, int rBegin,
-                    int rEnd, Vector* origins, Vector* dirs) const;
-
   /// Rays per stream: traceTileRays generates a tile's (cell, ray) pairs
-  /// into per-thread scratch of this many rays and traces each full
-  /// stream with one traceRays call, and traceRaysSimd marches longer
-  /// calls this many rays at a time. Bounds the per-thread scratch (64
-  /// bytes a ray, plus up to twice that for the level handoff) whatever
-  /// the tile or patch size; results do not depend on it.
+  /// (generateRays in core/ray_setup.h, in vector form when the packet
+  /// march runs) into per-thread scratch of this many rays and traces
+  /// each full stream with one traceRays call, and traceRaysSimd marches
+  /// longer calls this many rays at a time. Bounds the per-thread
+  /// scratch (64 bytes a ray, plus up to 144 for the two level handoff
+  /// buffers) whatever the tile or patch size; results do not depend on
+  /// it.
   static constexpr int kStreamRays = 1024;
 
   /// The tile ray stream behind every divQ entry point. For the i-th

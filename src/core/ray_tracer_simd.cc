@@ -7,16 +7,20 @@
 /// __m256d, lane masks as all-ones lanes of a __m256i, committed with
 /// blends). A lane retires in place when its ray hits a wall cell,
 /// extinguishes below TraceConfig::threshold or steps out of the
-/// level's `allowed` box, and refills from the pending rays through a
-/// SetupQueue that precomputes DDA setups a chunk at a time. A ray that
-/// leaves `allowed` inside the domain goes into a handoff buffer with
-/// its carried intensity and transmissivity, and the next level's pass
-/// marches the buffer.
+/// level's `allowed` box; every retiring lane refills at once, with
+/// expand loads, from the pending rays' lane setups, which a SetupQueue
+/// computes a chunk ahead in vector form. A ray that leaves `allowed`
+/// inside the domain is compress-stored into a handoff buffer with its
+/// carried intensity and transmissivity, and the next level's pass
+/// marches the buffer. The divQ streams' rays are generated in vector
+/// form too (generateRayLanes), before the pass.
 ///
-/// Numerical contract: the DDA bookkeeping (ddaStart, min-axis
-/// tie-breaking, segment lengths, cell paths, the handoff position)
-/// performs the exact same IEEE operations as the scalar march, so every
-/// ray visits the bitwise-identical cell sequence with bitwise-identical
+/// Numerical contract: the ray generator and the DDA bookkeeping
+/// (ddaStart, min-axis tie-breaking, segment lengths, cell paths, the
+/// handoff position) perform the exact same IEEE operations per ray as
+/// generateRays and the scalar march (sin and cos stay libm's, one lane
+/// at a time), so every ray starts bitwise where the scalar one does and
+/// visits the bitwise-identical cell sequence with bitwise-identical
 /// segment lengths on every level (rmcrt_core builds with
 /// -ffp-contract=off so no mul+add becomes an FMA). The only divergence
 /// is the polynomial exp vs libm exp (≤ ~2 ulp per segment), which
@@ -34,12 +38,14 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <vector>
 
-#include "core/dda.h"
 #include "core/packed_field.h"
+#include "core/ray_setup.h"
 #include "core/ray_tracer.h"
 
 #if RMCRT_SIMD_X86
@@ -58,36 +64,46 @@ namespace rmcrt::core {
 
 namespace {
 
-/// What a ray carries from a finer level's pass into the next one.
-struct Carried {
-  double sumI;
-  double trans;
-  int ray;  ///< result slot
-};
-
-/// A packet pass's input: n rays starting at pos[i] in direction dir[i].
-/// Level 0's pass starts every ray fresh (null `carried`: intensity 0,
-/// transmissivity 1, result slot i); a coarser level's pass resumes the
-/// rays the finer pass handed off, with the state they carried out.
+/// A packet pass's input: n rays in structure-of-arrays form. Level 0's
+/// pass starts every ray fresh (null carried arrays: intensity 0,
+/// transmissivity 1, result slot = position in the input); a coarser
+/// level's pass resumes the rays the finer pass handed off, with the
+/// state they carried out. Every array holds kRaySlack entries past the
+/// last ray.
 struct PassRays {
   int n = 0;
-  const Vector* pos = nullptr;
-  const Vector* dir = nullptr;
-  const Carried* carried = nullptr;
+  RaySoA rays{};
+  const double* sumI = nullptr;
+  const double* trans = nullptr;
+  const std::int64_t* slot = nullptr;
 };
 
 /// The rays one level's pass hands to the next coarser level: each left
-/// the level's `allowed` box inside the domain at `pos`. Reused across
-/// calls (see Tracer::traceRaysSimd), so steady-state passes allocate
-/// nothing.
+/// the level's `allowed` box inside the domain at pos. A pass hands off
+/// at most its input, a stream of at most Tracer::kStreamRays rays, so
+/// the arrays have a fixed capacity; they are allocated once per thread
+/// and reused (see Tracer::traceRaysSimd), so steady-state passes
+/// allocate nothing.
 struct Handoff {
-  std::vector<Vector> pos, dir;
-  std::vector<Carried> carried;
+  std::vector<double> pos[3], dir[3], sumI, trans;
+  std::vector<std::int64_t> slot;
+  int n = 0;
 
-  void clear() { pos.clear(); dir.clear(); carried.clear(); }
-  PassRays rays() const {
-    return PassRays{static_cast<int>(pos.size()), pos.data(), dir.data(),
-                    carried.data()};
+  void allocate(std::size_t cap) {
+    if (!slot.empty()) return;
+    for (int a = 0; a < 3; ++a) {
+      pos[a].resize(cap + kRaySlack);
+      dir[a].resize(cap + kRaySlack);
+    }
+    sumI.resize(cap + kRaySlack);
+    trans.resize(cap + kRaySlack);
+    slot.resize(cap + kRaySlack);
+  }
+  PassRays rays() {
+    return PassRays{n,
+                    RaySoA{{pos[0].data(), pos[1].data(), pos[2].data()},
+                           {dir[0].data(), dir[1].data(), dir[2].data()}},
+                    sumI.data(), trans.data(), slot.data()};
   }
 };
 
@@ -107,111 +123,18 @@ struct PacketPass {
   Handoff* next = nullptr;
 };
 
-/// A ray's lane state on entering a level, precomputed by SetupQueue so
-/// a lane refill is a handful of L1 loads instead of a chain of
-/// divisions.
-struct RaySetup {
-  DdaStart dda;
-  /// Steps left along each axis before the ray leaves `allowed`, as
-  /// doubles (small exact integers) so the exit test is a vector compare:
-  /// the scalar march's bounds check fails exactly when one goes negative.
-  double cnt[3];
-  /// Byte offset of the starting cell's record, and the pre-signed byte
-  /// stride per axis (PackedFieldView::laneStride in records), so a
-  /// lane's gather index needs no per-crossing multiply.
-  std::int64_t off;
-  std::int64_t axStride[3];
-  Carried in;  ///< from the finer level; {0, 1, index} on level 0
-  int index;   ///< position in the pass input
+/// A chunk of lane setups (LaneSetup, one entry per ray) in
+/// structure-of-arrays form, so a register of rays is written with one
+/// wide store per field and a refill reads its lanes with expand loads.
+struct SetupChunk {
+  static constexpr int kRays = 128;
+  static constexpr int kCap = kRays + kRaySlack;
+  double tMax[3][kCap];
+  double tDelta[3][kCap];
+  double cnt[3][kCap];
+  std::int64_t stride[3][kCap];
+  std::int64_t off[kCap];
 };
-
-/// Chunked precompute of per-ray setups. Lane refill happens inside the
-/// packet loop's retirement path, where ddaStart's dependent divisions
-/// would stall the resumed march; batching the setups a chunk ahead
-/// keeps the refill itself to plain loads out of L1 and lets the
-/// divisions pipeline against the marching packets.
-class SetupQueue {
- public:
-  SetupQueue(const TraceLevel& level, const PassRays& rays)
-      : m_level(level), m_rays(rays) {}
-
-  bool empty() const { return m_next >= m_rays.n; }
-
-  /// Pops the next pending ray's setup. Only valid when !empty(). The
-  /// reference stays valid until the next pop.
-  RMCRT_ALWAYS_INLINE const RaySetup& pop() {
-    if (m_next >= m_base + m_filled) fill();
-    return m_buf[m_next++ - m_base];
-  }
-
- private:
-  RMCRT_ALWAYS_INLINE void fill() {
-    m_base = m_next;
-    m_filled = std::min(m_rays.n - m_base, kChunk);
-    const PackedFieldView& pf = m_level.packed;
-    for (int i = 0; i < m_filled; ++i) {
-      const int k = m_base + i;
-      RaySetup& rs = m_buf[i];
-      rs.dda = ddaStart(m_level, m_rays.pos[k], m_rays.dir[k]);
-      for (int a = 0; a < 3; ++a) {
-        const int step = rs.dda.step[a];
-        const int start = rs.dda.cell[a];
-        rs.cnt[a] = step > 0 ? m_level.allowed.high()[a] - 1 - start
-                             : start - m_level.allowed.low()[a];
-        rs.axStride[a] =
-            pf.laneStride(a, step) * PackedFieldView::kRecordBytes;
-      }
-      rs.off = pf.offsetOf(IntVector(rs.dda.cell[0], rs.dda.cell[1],
-                                     rs.dda.cell[2])) *
-               PackedFieldView::kRecordBytes;
-      rs.in = m_rays.carried != nullptr ? m_rays.carried[k]
-                                        : Carried{0.0, 1.0, k};
-      rs.index = k;
-    }
-  }
-
-  static constexpr int kChunk = 128;
-  const TraceLevel& m_level;
-  PassRays m_rays;
-  int m_next = 0;
-  int m_base = 0;
-  int m_filled = 0;
-  RaySetup m_buf[kChunk];
-};
-
-/// Finish a ray of a multi-level pass that stepped out of `allowed`:
-/// ray \p k of the pass input, with result slot \p ray, \p cnt steps
-/// left per axis (-1 on the axis it left by), intensity \p sumI and
-/// transmissivity \p trans at distance \p tCur. Outside the domain the
-/// ray takes the domain-wall term and \p sumI is final; inside, it goes
-/// to the next level's handoff buffer from the crossing position (the
-/// scalar march's `pos + dir * tCur`, rounded the same way). Returns
-/// true when \p sumI is final.
-RMCRT_ALWAYS_INLINE bool exitRay(const PacketPass& pass, const PassRays& rays,
-                                 int k, int ray, const double* cnt,
-                                 double tCur, double trans, double& sumI) {
-  const TraceLevel& L = *pass.level;
-  const Vector& dir = rays.dir[k];
-  // The stepped cell: cnt counts the steps left before the `allowed`
-  // face the ray moves towards (ddaStart's step is +1 iff dir >= 0).
-  // Branch-free: the signs are random, and a mispredicted branch per
-  // axis costs more than marching a short ray.
-  IntVector cur;
-  for (int a = 0; a < 3; ++a) {
-    const int c = static_cast<int>(cnt[a]);
-    const int up = dir[a] >= 0.0;
-    cur[a] = up * (L.allowed.high()[a] - 1 - c) +
-             (1 - up) * (L.allowed.low()[a] + c);
-  }
-  if (!L.geom.cells.contains(cur)) {
-    sumI += pass.wallEmissivity * pass.wallSigmaT4OverPi * trans;
-    return true;
-  }
-  pass.next->pos.push_back(rays.pos[k] + dir * tCur);
-  pass.next->dir.push_back(dir);
-  pass.next->carried.push_back({sumI, trans, ray});
-  return false;
-}
 
 /// The vector exp (expv in packet_pass.inc): round-to-nearest
 /// power-of-two reduction with a two-part ln2, then a degree-13 Taylor
@@ -247,13 +170,42 @@ bool avx512Usable() {
   return e == nullptr || e[0] == '\0' || e[0] == '0';
 }
 
+/// The AVX2 expand and compress as lane permutations, one per 4-lane
+/// mask m, each as the 32-bit halves _mm256_permutevar8x32_epi32 moves:
+/// lane l of expand[m] takes element rank(l) of a loaded run (its rank
+/// among m's lanes), and element j of compress[m] lane l of the j-th
+/// lane of m.
+struct Perm4 {
+  alignas(32) int idx[8];
+};
+struct Perms4 {
+  std::array<Perm4, 16> expand, compress;
+};
+constexpr Perms4 kPerms4 = [] {
+  Perms4 p{};
+  for (unsigned m = 0; m < 16; ++m) {
+    int rank = 0;
+    for (int l = 0; l < 4; ++l) {
+      if (!((m >> l) & 1u)) continue;
+      p.expand[m].idx[2 * l] = 2 * rank;
+      p.expand[m].idx[2 * l + 1] = 2 * rank + 1;
+      p.compress[m].idx[2 * rank] = 2 * l;
+      p.compress[m].idx[2 * rank + 1] = 2 * l + 1;
+      ++rank;
+    }
+  }
+  return p;
+}();
+
 }  // namespace
 
 // Each vector type supplies what the two ISAs spell differently: lane
-// count, broadcasts, compares into a lane mask, mask bits, sel(m, a, b)
-// (`m ? a : b` per lane), masked adds, gathers, the scatter and the exp's
-// rounding and 2^n scale. Arithmetic on D and I and the mask logic
-// (&, |, ~) are GCC vector operators, written once in packet_pass.inc.
+// count, broadcasts, loads and stores, compares into a lane mask, mask
+// bits, sel(m, a, b) (`m ? a : b` per lane), masked adds, gathers, the
+// scatter, expand loads and compress stores, the 64-bit lane multiply and
+// integer/double conversions the ray setup needs, and the exp's rounding
+// and 2^n scale. Arithmetic on D and I and the mask logic (&, |, ~) are
+// GCC vector operators, written once in packet_pass.inc.
 
 #pragma GCC push_options
 #pragma GCC target("avx2,fma")
@@ -266,15 +218,33 @@ struct V {
   static constexpr int kLanes = 4;
   static D set(double x) { return _mm256_set1_pd(x); }
   static I seti(std::int64_t x) { return _mm256_set1_epi64x(x); }
-  static M lane(int l) {
-    return _mm256_cmpeq_epi64(_mm256_setr_epi64x(0, 1, 2, 3),
-                              _mm256_set1_epi64x(l));
+  static I iota() { return _mm256_setr_epi64x(0, 1, 2, 3); }
+  static M fromBits(unsigned b) {
+    const I bit = _mm256_setr_epi64x(1, 2, 4, 8);
+    return _mm256_cmpeq_epi64(_mm256_set1_epi64x(b) & bit, bit);
   }
   static unsigned bits(M m) {
     return static_cast<unsigned>(_mm256_movemask_pd(_mm256_castsi256_pd(m)));
   }
+  static D load(const double* p) { return _mm256_loadu_pd(p); }
+  static I load(const std::int64_t* p) {
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+  }
+  static void store(double* p, D v) { _mm256_storeu_pd(p, v); }
+  static void store(std::int64_t* p, I v) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
+  }
   static M lt(D a, D b) {
     return _mm256_castpd_si256(_mm256_cmp_pd(a, b, _CMP_LT_OQ));
+  }
+  static M le(D a, D b) {
+    return _mm256_castpd_si256(_mm256_cmp_pd(a, b, _CMP_LE_OQ));
+  }
+  static M ge(D a, D b) {
+    return _mm256_castpd_si256(_mm256_cmp_pd(a, b, _CMP_GE_OQ));
+  }
+  static M eq(D a, D b) {
+    return _mm256_castpd_si256(_mm256_cmp_pd(a, b, _CMP_EQ_OQ));
   }
   static M ne(D a, D b) {
     return _mm256_castpd_si256(_mm256_cmp_pd(a, b, _CMP_NEQ_UQ));
@@ -290,11 +260,70 @@ struct V {
   }
   static I addIf(M m, I a, I b) { return a + (b & m); }
   static D min(D a, D b) { return _mm256_min_pd(a, b); }
+  static D max(D a, D b) { return _mm256_max_pd(a, b); }  // a > b ? a : b
   static D abs(D x) { return _mm256_andnot_pd(set(-0.0), x); }
+  static D sqrt(D x) { return _mm256_sqrt_pd(x); }
   static D fma(D a, D b, D c) { return _mm256_fmadd_pd(a, b, c); }
   static D fnma(D a, D b, D c) { return _mm256_fnmadd_pd(a, b, c); }
   static D round(D x) {
     return _mm256_round_pd(x, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+  }
+  static D floor(D x) {
+    return _mm256_round_pd(x, _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
+  }
+  /// Lane sums and products modulo 2^64; the product from three 32x32-bit
+  /// multiplies (AVX2 has no 64-bit one).
+  static I add(I a, I b) { return _mm256_add_epi64(a, b); }
+  static I mul64(I a, I b) {
+    const I cross = add(_mm256_mul_epu32(_mm256_srli_epi64(a, 32), b),
+                        _mm256_mul_epu32(a, _mm256_srli_epi64(b, 32)));
+    return add(_mm256_mul_epu32(a, b), _mm256_slli_epi64(cross, 32));
+  }
+  static I srl(I x, int n) { return _mm256_srli_epi64(x, n); }
+  /// Lanes below 2^53 as doubles, exactly: each 32-bit half under a
+  /// magic exponent (2^84 for the high half, 2^52 for the low one), and
+  /// the exact sum.
+  static D u53ToDouble(I x) {
+    const D hi = _mm256_castsi256_pd(_mm256_srli_epi64(x, 32) |
+                                     _mm256_castpd_si256(set(0x1.0p84))) -
+                 set(0x1.0p84);
+    const D lo = _mm256_castsi256_pd(_mm256_blend_epi32(
+                     x, _mm256_castpd_si256(set(0x1.0p52)), 0xAA)) -
+                 set(0x1.0p52);
+    return hi + lo;
+  }
+  /// Integer-valued lanes of magnitude below 2^51 as int64: the sum with
+  /// 1.5 * 2^52 is exact and keeps the integer in the low mantissa bits.
+  static I toInt64(D x) {
+    const D magic = set(0x1.8p52);
+    return _mm256_castpd_si256(x + magic) - _mm256_castpd_si256(magic);
+  }
+  /// Lanes of \p m take consecutive elements of \p v (from element 0, in
+  /// lane order); the others keep \p old.
+  static I expand(M m, I old, I v) {
+    const I perm = _mm256_load_si256(
+        reinterpret_cast<const __m256i*>(kPerms4.expand[bits(m)].idx));
+    return sel(m, _mm256_permutevar8x32_epi32(v, perm), old);
+  }
+  static I expand(M m, I old, const std::int64_t* src) {
+    return expand(m, old, load(src));
+  }
+  static D expand(M m, D old, const double* src) {
+    return _mm256_castsi256_pd(expand(m, _mm256_castpd_si256(old),
+                                      _mm256_castpd_si256(load(src))));
+  }
+  /// Stores the lanes of \p m at dst[0..popcount), in lane order, and
+  /// scratch past them up to a whole register.
+  static void compress(std::int64_t* dst, M m, I v) {
+    const I perm = _mm256_load_si256(
+        reinterpret_cast<const __m256i*>(kPerms4.compress[bits(m)].idx));
+    store(dst, _mm256_permutevar8x32_epi32(v, perm));
+  }
+  static void compress(double* dst, M m, D v) {
+    const I perm = _mm256_load_si256(
+        reinterpret_cast<const __m256i*>(kPerms4.compress[bits(m)].idx));
+    store(dst, _mm256_castsi256_pd(
+                   _mm256_permutevar8x32_epi32(_mm256_castpd_si256(v), perm)));
   }
   static D pow2(D n) {
     const I e = _mm256_cvtepi32_epi64(_mm256_cvtpd_epi32(n));
@@ -342,21 +371,51 @@ struct V {
   static constexpr int kLanes = 8;
   static D set(double x) { return _mm512_set1_pd(x); }
   static I seti(std::int64_t x) { return _mm512_set1_epi64(x); }
-  static M lane(int l) { return static_cast<M>(1u << l); }
+  static I iota() { return _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0); }
+  static M fromBits(unsigned b) { return static_cast<M>(b); }
   static unsigned bits(M m) { return m; }
+  static D load(const double* p) { return _mm512_loadu_pd(p); }
+  static void store(double* p, D v) { _mm512_storeu_pd(p, v); }
+  static void store(std::int64_t* p, I v) { _mm512_storeu_si512(p, v); }
   static M lt(D a, D b) { return _mm512_cmp_pd_mask(a, b, _CMP_LT_OQ); }
+  static M le(D a, D b) { return _mm512_cmp_pd_mask(a, b, _CMP_LE_OQ); }
+  static M ge(D a, D b) { return _mm512_cmp_pd_mask(a, b, _CMP_GE_OQ); }
+  static M eq(D a, D b) { return _mm512_cmp_pd_mask(a, b, _CMP_EQ_OQ); }
   static M ne(D a, D b) { return _mm512_cmp_pd_mask(a, b, _CMP_NEQ_UQ); }
   static D sel(M m, D a, D b) { return _mm512_mask_blend_pd(m, b, a); }
   static I sel(M m, I a, I b) { return _mm512_mask_blend_epi64(m, b, a); }
   static D addIf(M m, D a, D b) { return _mm512_mask_add_pd(a, m, a, b); }
   static I addIf(M m, I a, I b) { return _mm512_mask_add_epi64(a, m, a, b); }
   static D min(D a, D b) { return _mm512_min_pd(a, b); }
+  static D max(D a, D b) { return _mm512_max_pd(a, b); }  // a > b ? a : b
   static D abs(D x) { return _mm512_abs_pd(x); }
+  static D sqrt(D x) { return _mm512_sqrt_pd(x); }
   static D fma(D a, D b, D c) { return _mm512_fmadd_pd(a, b, c); }
   static D fnma(D a, D b, D c) { return _mm512_fnmadd_pd(a, b, c); }
   static D round(D x) {
     return _mm512_roundscale_pd(x,
                                 _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+  }
+  static D floor(D x) {
+    return _mm512_roundscale_pd(x, _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
+  }
+  static I add(I a, I b) { return _mm512_add_epi64(a, b); }
+  static I mul64(I a, I b) { return _mm512_mullo_epi64(a, b); }
+  static I srl(I x, int n) { return _mm512_srli_epi64(x, n); }
+  static D u53ToDouble(I x) { return _mm512_cvtepu64_pd(x); }
+  static I toInt64(D x) { return _mm512_cvtpd_epi64(x); }
+  static D expand(M m, D old, const double* src) {
+    return _mm512_mask_expandloadu_pd(old, m, src);
+  }
+  static I expand(M m, I old, const std::int64_t* src) {
+    return _mm512_mask_expandloadu_epi64(old, m, src);
+  }
+  static I expand(M m, I old, I v) { return _mm512_mask_expand_epi64(old, m, v); }
+  static void compress(double* dst, M m, D v) {
+    store(dst, _mm512_maskz_compress_pd(m, v));
+  }
+  static void compress(std::int64_t* dst, M m, I v) {
+    store(dst, _mm512_maskz_compress_epi64(m, v));
   }
   static D pow2(D n) {
     const I e = _mm512_cvtepi32_epi64(_mm512_cvtpd_epi32(n));
@@ -380,13 +439,13 @@ struct V {
 #pragma GCC diagnostic pop
 #pragma GCC pop_options
 
-void Tracer::traceRaysSimd(int n, const Vector* origins, const Vector* dirs,
-                           double kappaScale, double* out,
-                           std::uint64_t& segments) const {
+void Tracer::traceRaysSimd(int n, const RaySoA& rays, double kappaScale,
+                           double* out, std::uint64_t& segments) const {
   // Two handoff buffers per thread, reused across calls: the pass over
   // level li reads the rays level li-1 handed off from one and fills the
   // other for level li+1.
   static thread_local Handoff buffers[2];
+  for (Handoff& h : buffers) h.allocate(kStreamRays);
   const auto passFn =
       avx512Usable() ? avx512::packetPass : avx2::packetPass;
   PacketPass pass;
@@ -398,15 +457,15 @@ void Tracer::traceRaysSimd(int n, const Vector* origins, const Vector* dirs,
   // the handoff buffers.
   for (int b = 0; b < n; b += kStreamRays) {
     pass.out = out + b;
-    PassRays rays{std::min(kStreamRays, n - b), origins + b, dirs + b};
-    for (std::size_t li = 0; rays.n > 0; ++li) {
+    PassRays in{std::min(kStreamRays, n - b), rays.at(b)};
+    for (std::size_t li = 0; in.n > 0; ++li) {
       Handoff& next = buffers[li % 2];
-      next.clear();
+      next.n = 0;
       pass.level = &m_levels[li];
       pass.hasNext = li + 1 < m_levels.size();
       pass.next = &next;
-      passFn(pass, rays, segments);
-      rays = next.rays();
+      passFn(pass, in, segments);
+      in = next.rays();
     }
   }
 }
@@ -418,17 +477,39 @@ const char* Tracer::simdIsa() {
 
 #else  // !RMCRT_SIMD_X86
 
-void Tracer::traceRaysSimd(int n, const Vector* origins, const Vector* dirs,
-                           double kappaScale, double* out,
-                           std::uint64_t& segments) const {
-  // Non-x86 build: simdSupported() is constant-false so this is
-  // unreachable through the public dispatch; keep a correct fallback for
-  // direct callers anyway.
-  traceRaysScalar(n, origins, dirs, kappaScale, out, segments);
+void Tracer::traceRaysSimd(int n, const RaySoA& rays, double kappaScale,
+                           double* out, std::uint64_t& segments) const {
+  // Non-x86 build: simdSupported() is constant-false, so this is
+  // unreachable through the public dispatch, which then takes the scalar
+  // loop.
+  traceRays(n, rays, kappaScale, out, segments);
 }
+
 
 const char* Tracer::simdIsa() { return "none"; }
 
 #endif  // RMCRT_SIMD_X86
+
+RayGenerator simdRayGenerator() {
+#if RMCRT_SIMD_X86
+  if (Tracer::simdSupported())
+    return avx512Usable() ? avx512::generateRayLanes : avx2::generateRayLanes;
+#endif
+  return generateRays;
+}
+
+void laneSetupsSimd(const TraceLevel& L, int n, const RaySoA& rays,
+                    LaneSetup* out) {
+#if RMCRT_SIMD_X86
+  if (Tracer::simdSupported()) {
+    (avx512Usable() ? avx512::laneSetups : avx2::laneSetups)(L, n, rays, out);
+    return;
+  }
+#endif
+  for (int i = 0; i < n; ++i)
+    out[i] = laneSetup(
+        L, Vector(rays.pos[0][i], rays.pos[1][i], rays.pos[2][i]),
+        Vector(rays.dir[0][i], rays.dir[1][i], rays.dir[2][i]));
+}
 
 }  // namespace rmcrt::core

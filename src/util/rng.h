@@ -14,11 +14,18 @@
 
 namespace rmcrt {
 
+/// splitmix64's constants: the Weyl increment and the two multipliers
+/// of its mix (shared with the vector ray generator, which must draw the
+/// same bits).
+inline constexpr std::uint64_t kSplitmixGamma = 0x9E3779B97F4A7C15ull;
+inline constexpr std::uint64_t kSplitmixMul1 = 0xBF58476D1CE4E5B9ull;
+inline constexpr std::uint64_t kSplitmixMul2 = 0x94D049BB133111EBull;
+
 /// splitmix64 finalizer: a bijective 64-bit mix.
 constexpr std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  x += kSplitmixGamma;
+  x = (x ^ (x >> 30)) * kSplitmixMul1;
+  x = (x ^ (x >> 27)) * kSplitmixMul2;
   return x ^ (x >> 31);
 }
 
@@ -29,7 +36,10 @@ class Rng {
  public:
   /// Seed from an arbitrary 64-bit value.
   constexpr explicit Rng(std::uint64_t seed)
-      : m_state(splitmix64(seed ^ 0xD1B54A32D192ED03ull)) {}
+      : m_state(splitmix64(seed ^ kSeedMix)) {}
+
+  /// What the constructor xors into its seed before hashing it.
+  static constexpr std::uint64_t kSeedMix = 0xD1B54A32D192ED03ull;
 
   /// Seed an independent stream for ray \p ray of cell \p cell in a
   /// simulation seeded with \p domainSeed. Each component is absorbed by
@@ -47,6 +57,15 @@ class Rng {
   static constexpr std::uint64_t streamSeed(std::uint64_t domainSeed,
                                             const IntVector& cell,
                                             std::uint32_t ray) {
+    return splitmix64(cellSeed(domainSeed, cell) ^
+                      static_cast<std::uint64_t>(ray));
+  }
+
+  /// The (domainSeed, cell) prefix of streamSeed's chain, which every ray
+  /// of the cell shares: streamSeed(s, c, r) is
+  /// splitmix64(cellSeed(s, c) ^ r).
+  static constexpr std::uint64_t cellSeed(std::uint64_t domainSeed,
+                                          const IntVector& cell) {
     auto absorb = [](std::uint64_t h, std::uint64_t v) {
       return splitmix64(h ^ v);
     };
@@ -57,16 +76,15 @@ class Rng {
                       static_cast<std::int64_t>(cell.y())));
     h = absorb(h, static_cast<std::uint64_t>(
                       static_cast<std::int64_t>(cell.z())));
-    h = absorb(h, static_cast<std::uint64_t>(ray));
     return h;
   }
 
   /// Next 64 uniformly distributed bits.
   constexpr std::uint64_t nextU64() {
-    m_state += 0x9E3779B97F4A7C15ull;
+    m_state += kSplitmixGamma;
     std::uint64_t x = m_state;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+    x = (x ^ (x >> 30)) * kSplitmixMul1;
+    x = (x ^ (x >> 27)) * kSplitmixMul2;
     return x ^ (x >> 31);
   }
 

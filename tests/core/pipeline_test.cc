@@ -74,7 +74,8 @@ void compareToSerial(const Grid& grid, const RmcrtSetup& setup,
              s->rank(), grid, grid.numLevels() - 1)) {
       const auto& divQ = s->newDW().get<double>(RmcrtLabels::divQ, pid);
       for (const auto& c : grid.patchById(pid)->cells())
-        ASSERT_DOUBLE_EQ(divQ[c], serial[c])
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(divQ[c]),
+                  std::bit_cast<std::uint64_t>(serial[c]))
             << "patch " << pid << " cell " << c;
     }
   }
@@ -197,7 +198,9 @@ TEST(RmcrtPipeline, SingleLevelPipelineMatchesSerial) {
     for (int pid : s->loadBalancer().patchesOf(s->rank())) {
       const auto& divQ = s->newDW().get<double>(RmcrtLabels::divQ, pid);
       for (const auto& c : grid->patchById(pid)->cells())
-        ASSERT_DOUBLE_EQ(divQ[c], serial[c]);
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(divQ[c]),
+                  std::bit_cast<std::uint64_t>(serial[c]))
+            << "patch " << pid << " cell " << c;
     }
   }
 }

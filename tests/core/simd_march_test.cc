@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "core/problems.h"
+#include "core/ray_setup.h"
 #include "core/ray_tracer.h"
 #include "core/rmcrt_component.h"
 #include "gpu/gpu_data_warehouse.h"
@@ -409,12 +410,20 @@ TEST(SimdMarch, TwoLevelHandoffParity) {
   // into the handoff buffer and finish in the coarse level's packet pass
   // — intensities must still match the all-scalar result within the ULP
   // budget, and the marching work must match exactly. The three-level
-  // stack hands rays off twice (fine ROI -> mid-level ROI -> coarse).
+  // stack hands rays off twice (fine ROI -> mid-level ROI -> coarse). The
+  // corner ROI shares the domain's high faces, so rays also leave the
+  // domain straight from the fine level and take the (hot) wall term
+  // there.
   const LevelStack two = twoLevelStack();
   const LevelStack three(burnsChriston(), {2, 2},
                          {CellRange(IntVector(4), IntVector(12)),
                           CellRange(IntVector(1), IntVector(7))});
-  for (const LevelStack* stack : {&two, &three}) {
+  RadiationProblem hotWalls = burnsChriston();
+  hotWalls.wallSigmaT4OverPi = 0.3;
+  hotWalls.wallEmissivity = 0.9;
+  const LevelStack corner(hotWalls, {4},
+                          {CellRange(IntVector(8), IntVector(16))});
+  for (const LevelStack* stack : {&two, &three, &corner}) {
     SCOPED_TRACE(std::to_string(stack->geoms.size()) + " levels");
     TraceConfig cfg;
     cfg.nDivQRays = 32;
@@ -422,7 +431,8 @@ TEST(SimdMarch, TwoLevelHandoffParity) {
     const Tracer simd = stack->makeTracer(true, cfg);
     const Tracer scalar = stack->makeTracer(false, cfg);
     for (const IntVector& c :
-         {IntVector(8, 8, 8), IntVector(6, 9, 10), IntVector(10, 5, 7)}) {
+         {IntVector(8, 8, 8), IntVector(6, 9, 10), IntVector(10, 5, 7),
+          IntVector(14, 15, 13)}) {
       const double a = simd.meanIncomingIntensity(c);
       const double b = scalar.meanIncomingIntensity(c);
       EXPECT_LE(ulpDistance(a, b), kUlpTolerance) << "cell " << c;
@@ -634,6 +644,247 @@ TEST(SimdMarch, ScalarPathUnchangedByDispatchMachinery) {
     const std::size_t s = static_cast<std::size_t>(i);
     EXPECT_EQ(bundle[s], t.traceRay(origins[s], dirs[s])) << "ray " << i;
   }
+}
+
+// ---------------------------------------------------------------------
+// Vector ray setup (DESIGN.md §14): the packet pass generates its rays
+// and starts their DDA in vector form. Both must equal the scalar pieces
+// (generateRays, ddaStart through laneSetup) bitwise, in every dispatch
+// mode; the march's results then differ from the scalar march's by the
+// exp alone.
+
+/// Rays in structure-of-arrays form over owned arrays, with the slack
+/// the vector forms read and write past the last ray.
+struct SoaRays {
+  std::vector<double> pos[3], dir[3];
+  explicit SoaRays(std::size_t n) {
+    for (int a = 0; a < 3; ++a) {
+      pos[a].assign(n + kRaySlack, 0.0);
+      dir[a].assign(n + kRaySlack, 0.0);
+    }
+  }
+  RaySoA view(std::size_t at = 0) {
+    return RaySoA{{&pos[0][at], &pos[1][at], &pos[2][at]},
+                  {&dir[0][at], &dir[1][at], &dir[2][at]}};
+  }
+  void set(std::size_t i, const Vector& p, const Vector& d) {
+    for (int a = 0; a < 3; ++a) {
+      pos[a][i] = p[a];
+      dir[a][i] = d[a];
+    }
+  }
+};
+
+void expectSameRays(SoaRays& a, SoaRays& b, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i)
+    for (int k = 0; k < 3; ++k) {
+      ASSERT_TRUE(sameBits(a.pos[k][i], b.pos[k][i]))
+          << "ray " << i << " pos[" << k << "] " << a.pos[k][i] << " vs "
+          << b.pos[k][i];
+      ASSERT_TRUE(sameBits(a.dir[k][i], b.dir[k][i]))
+          << "ray " << i << " dir[" << k << "] " << a.dir[k][i] << " vs "
+          << b.dir[k][i];
+    }
+}
+
+TEST(VectorRaySetup, GeneratorMatchesScalarBitwise) {
+  const LevelGeom g{Vector(-0.25, 0.5, 1.0), Vector(0.125, 0.0625, 0.25),
+                    CellRange(IntVector(-3, -3, -3), IntVector(64))};
+  const IntVector cells[] = {IntVector(0, 0, 0),
+                             IntVector(-1, -2, -3),
+                             IntVector(5, -7, 11),
+                             IntVector(1 << 21, 3, (1 << 21) + 5),
+                             IntVector(-(1 << 21), 1 << 22, -1)};
+  forEachPacketKernel([&] {
+    const RayGenerator simd = simdRayGenerator();
+    for (const bool jitter : {true, false})
+      for (const std::uint64_t seed : {0ull, 21ull, 0xFFFFFFFFFFFFFFFFull})
+        for (const IntVector& c : cells) {
+          SCOPED_TRACE("cell " + std::to_string(c.x()) + "," +
+                       std::to_string(c.y()) + "," + std::to_string(c.z()) +
+                       " seed " + std::to_string(seed) +
+                       (jitter ? " jittered" : " centered"));
+          // Whole registers, a partial one, and a range that starts
+          // mid-fan (a cell straddling two streams).
+          for (const auto& [rBegin, rEnd] :
+               {std::pair(0, 16), std::pair(0, 13), std::pair(5, 22),
+                std::pair(7, 8)}) {
+            const std::size_t n = static_cast<std::size_t>(rEnd - rBegin);
+            SoaRays a(n), b(n);
+            simd(g, jitter, seed, c, rBegin, rEnd, a.view());
+            generateRays(g, jitter, seed, c, rBegin, rEnd, b.view());
+            expectSameRays(a, b, n);
+          }
+        }
+  });
+}
+
+TEST(VectorRaySetup, StreamStraddlingCellsAndStreamsMatchesScalar) {
+  // The tile stream's loop with a small stream: cells' fans split across
+  // stream ends and start mid-register, so every call overwrites the
+  // previous call's slack. Each stream must hold exactly the scalar rays.
+  const LevelGeom g{Vector(0.0), Vector(1.0 / 16), CellRange(IntVector(0),
+                                                            IntVector(16))};
+  const std::size_t cap = 37;
+  const int fan = 11;
+  forEachPacketKernel([&] {
+    const RayGenerator simd = simdRayGenerator();
+    SoaRays a(cap), b(cap);
+    std::size_t n = 0;
+    int streams = 0;
+    const auto flush = [&] {
+      expectSameRays(a, b, n);
+      n = 0;
+      ++streams;
+    };
+    for (const IntVector& c : CellRange(IntVector(3), IntVector(6))) {
+      for (int r = 0; r < fan;) {
+        const int take =
+            static_cast<int>(std::min<std::size_t>(fan - r, cap - n));
+        simd(g, true, 99, c, r, r + take, a.view(n));
+        generateRays(g, true, 99, c, r, r + take, b.view(n));
+        n += static_cast<std::size_t>(take);
+        r += take;
+        if (n == cap) flush();
+      }
+    }
+    if (n > 0) flush();
+    EXPECT_EQ(streams, (27 * fan + 36) / 37);
+  });
+}
+
+void expectSameSetups(const LaneSetup& v, const LaneSetup& s, int i) {
+  for (int a = 0; a < 3; ++a) {
+    EXPECT_TRUE(sameBits(v.tMax[a], s.tMax[a]))
+        << "ray " << i << " tMax[" << a << "] " << v.tMax[a] << " vs "
+        << s.tMax[a];
+    EXPECT_TRUE(sameBits(v.tDelta[a], s.tDelta[a]))
+        << "ray " << i << " tDelta[" << a << "] " << v.tDelta[a] << " vs "
+        << s.tDelta[a];
+    EXPECT_TRUE(sameBits(v.cnt[a], s.cnt[a])) << "ray " << i << " cnt[" << a
+                                              << "]";
+    EXPECT_EQ(v.stride[a], s.stride[a]) << "ray " << i << " stride[" << a
+                                        << "]";
+  }
+  EXPECT_EQ(v.off, s.off) << "ray " << i;
+}
+
+TEST(VectorRaySetup, LaneSetupsMatchDdaStartBitwise) {
+  // The two-level stack: fine 16^3 (dx 1/16) with `allowed` [4, 12)^3,
+  // coarse 4^3 (dx 1/4); and a 24^3 level, whose spacing is not a power
+  // of two, so cellAt's quotient is inexact on most faces.
+  const LevelStack stack = twoLevelStack();
+  const Tracer tracer = stack.makeTracer(true);
+  const SingleLevelSetup single(burnsChriston(), IntVector(24));
+  const Tracer tracer24 = single.makeTracer(true);
+  const double dx24 = tracer24.levels()[0].geom.dx.x();
+  const std::vector<Vector> axisDirs = {
+      Vector(1.0, 0.0, 0.0),  Vector(-1.0, 0.0, -0.0), Vector(0.0, 1.0, 0.0),
+      Vector(-0.0, -1.0, 0.0), Vector(0.0, -0.0, 1.0), Vector(0.0, 0.0, -1.0),
+      Vector(-0.0, -0.0, -1.0)};
+  std::vector<Vector> origins = {
+      Vector(0.5, 0.5, 0.5),          // a fine face, edge and corner
+      Vector(0.5, 0.53, 0.47),        // on an x face
+      Vector(0.375, 0.4375, 0.51),    // on an x-y edge
+      Vector(0.25, 0.25, 0.25),       // the `allowed` low corner
+      Vector(0.75, 0.75, 0.75),       // the `allowed` high corner: clamped
+      Vector(0.75, 0.6, 0.3),         // on the `allowed` high x face
+      Vector(0.2, 0.8, 0.9),          // outside `allowed`: clamped
+      Vector(0.7499999999999999, 0.25, 0.6),  // just inside the high face
+      Vector(std::nextafter(0.25, 0.0), 0.5, 0.5),  // just outside the low
+      Vector(0.0, 0.0, 0.0),          // the domain corner
+      Vector(1.0, 0.99, 0.0),         // on the domain's high x face
+  };
+  for (int k = 1; k < 24; k += 2)  // on faces of the 24^3 level
+    origins.push_back(Vector(k * dx24, 0.3 + k * dx24 / 2, (24 - k) * dx24));
+  std::vector<Vector> pos, dir;
+  for (const Vector& o : origins) {
+    for (const Vector& d : axisDirs) {
+      pos.push_back(o);
+      dir.push_back(d);
+    }
+    for (int k = 0; k < 9; ++k) {
+      Rng rng(7, IntVector(k), static_cast<std::uint32_t>(pos.size()));
+      pos.push_back(o);
+      dir.push_back(isotropicDirection(rng));
+    }
+  }
+  // Handoff points: where a fine ray leaves `allowed`, as the packet pass
+  // computes them (pos + dir * tCur), including the ones a rounding puts
+  // a hair outside the coarse level's cell.
+  for (int k = 0; k < 300; ++k) {
+    Rng rng(11, IntVector(k, 1, 2), 3);
+    const Vector o(0.25 + 0.5 * rng.nextDouble(), 0.25 + 0.5 * rng.nextDouble(),
+                   0.25 + 0.5 * rng.nextDouble());
+    const Vector d = isotropicDirection(rng);
+    const LaneSetup s = laneSetup(tracer.levels()[0], o, d);
+    const double t = std::min({s.tMax[0] + 3 * s.tDelta[0],
+                               s.tMax[1] + 2 * s.tDelta[1], s.tMax[2]});
+    pos.push_back(o + d * t);
+    dir.push_back(d);
+  }
+  // More than two setup chunks of 128, with a partial last register.
+  ASSERT_GT(pos.size(), 2u * 128u);
+  ASSERT_NE(pos.size() % 8, 0u);
+  const int n = static_cast<int>(pos.size());
+  SoaRays rays(pos.size());
+  for (std::size_t i = 0; i < pos.size(); ++i) rays.set(i, pos[i], dir[i]);
+  const TraceLevel* levels[] = {&tracer.levels()[0], &tracer.levels()[1],
+                                &tracer24.levels()[0]};
+  forEachPacketKernel([&] {
+    for (const TraceLevel* L : levels) {
+      SCOPED_TRACE(std::to_string(L->geom.cells.high().x()) + "^3 level");
+      std::vector<LaneSetup> v(pos.size());
+      laneSetupsSimd(*L, n, rays.view(), v.data());
+      for (int i = 0; i < n; ++i) {
+        const std::size_t s = static_cast<std::size_t>(i);
+        expectSameSetups(v[s], laneSetup(*L, pos[s], dir[s]), i);
+      }
+    }
+  });
+}
+
+TEST(VectorRaySetup, LanesRetiringTogetherAndPartialLastChunk) {
+  // Identical rays retire in the same crossing, so every refill takes
+  // every lane at once, and the counts leave a partial last setup chunk
+  // and a partial last packet. Each ray must give the single ray's result
+  // bitwise, whichever lane and chunk it lands in, and within the ULP
+  // budget of the scalar march.
+  const LevelStack stack = twoLevelStack();
+  const SingleLevelSetup single(burnsChriston(), IntVector(16));
+  const Vector o(0.5 + 1.0 / 32, 0.5, 0.47);
+  const Vector exits[] = {Vector(1.0, 0.2, 0.1).normalized(),
+                          Vector(-0.3, 1.0, -0.2).normalized(),
+                          Vector(0.0, 0.0, -1.0)};
+  forEachPacketKernel([&] {
+    for (const bool twoLevel : {true, false}) {
+      Tracer simd =
+          twoLevel ? stack.makeTracer(true) : single.makeTracer(true);
+      Tracer scalar =
+          twoLevel ? stack.makeTracer(false) : single.makeTracer(false);
+      for (const Vector& d : exits) {
+        double one = 0.0;
+        simd.traceRays(1, &o, &d, &one);
+        scalar.resetSegmentCount();
+        EXPECT_LE(ulpDistance(one, scalar.traceRay(o, d)), kUlpTolerance);
+        const std::uint64_t raySegments = scalar.segmentCount();
+        for (const int n : {3 * 128 + 5, 13, 8}) {
+          SCOPED_TRACE(std::to_string(n) + " rays, " +
+                       (twoLevel ? "two levels" : "one level"));
+          const std::vector<Vector> origins(static_cast<std::size_t>(n), o);
+          const std::vector<Vector> dirs(static_cast<std::size_t>(n), d);
+          std::vector<double> out(static_cast<std::size_t>(n), -1.0);
+          simd.resetSegmentCount();
+          simd.traceRays(n, origins.data(), dirs.data(), out.data());
+          EXPECT_EQ(simd.segmentCount(),
+                    static_cast<std::uint64_t>(n) * raySegments);
+          for (int i = 0; i < n; ++i)
+            ASSERT_TRUE(sameBits(out[static_cast<std::size_t>(i)], one))
+                << "ray " << i;
+        }
+      }
+    }
+  });
 }
 
 // ---------------------------------------------------------------------
