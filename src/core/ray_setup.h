@@ -1,16 +1,28 @@
 #pragma once
 
 /// \file ray_setup.h
-/// The per-ray work that starts a march, in the structure-of-arrays form
-/// the packet pass reads (DESIGN.md §14): the divQ ray generator and a
-/// packet lane's DDA setup. Each has a scalar definition here and a
-/// vector form in ray_tracer_simd.cc that performs the same IEEE
-/// operations per ray, so the two agree bitwise (simd_march_test pins
-/// them). Internal to rmcrt_core.
+/// The packet pass's instantiations (DESIGN.md §14) and the
+/// structure-of-arrays rays they read. The pass (packet_pass.inc) is
+/// written once over a vector type and compiled three times by
+/// ray_tracer_simd.cc: for AVX-512, for AVX2, and at width 1 (plain
+/// doubles at baseline ISA). Each instantiation generates its rays,
+/// computes their DDA setups and marches them with the same IEEE
+/// operations per ray, so all three give bitwise-equal results. Internal
+/// to rmcrt_core.
 
 #include <cstdint>
 
 #include "core/ray_tracer.h"
+
+/// Whether this build carries the AVX-512 and AVX2 instantiations at all
+/// (their `#pragma GCC target` regions keep the rest of the binary
+/// baseline-ISA, so carrying them never requires -mavx2). Runtime
+/// dispatch (packetKernel) decides whether to call them.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define RMCRT_SIMD_X86 1
+#else
+#define RMCRT_SIMD_X86 0
+#endif
 
 namespace rmcrt::core {
 
@@ -32,35 +44,11 @@ struct RaySoA {
   }
 };
 
-/// Rays [rBegin, rEnd) of \p cell, a cell of level \p g, written to
-/// out[0 .. rEnd - rBegin): ray r draws from Rng(seed, cell, r), its
-/// origin jittered over the cell (the draws go to z, y, x, in that order)
-/// or at the cell center, and its direction isotropic. The one ray
-/// generator of the divQ estimator, whichever pass, stream or entry
-/// point asks for a ray.
-void generateRays(const LevelGeom& g, bool jitter, std::uint64_t seed,
-                  const IntVector& cell, int rBegin, int rEnd,
-                  const RaySoA& out);
-
-/// generateRays' signature.
-using RayGenerator = void (*)(const LevelGeom& g, bool jitter,
-                              std::uint64_t seed, const IntVector& cell,
-                              int rBegin, int rEnd, const RaySoA& out);
-
-/// generateRays in vector form for this host's packet pass
-/// (ray_tracer_simd.cc; RMCRT_FORCE_AVX2 is read on every call), or
-/// generateRays itself where Tracer::simdSupported() is false. The vector
-/// form runs one splitmix64 chain per lane from the cell's hashed seed
-/// prefix and draws bitwise the same rays; sin and cos stay the libm
-/// calls, one lane at a time. It may overwrite kRaySlack entries past the
-/// last ray.
-RayGenerator simdRayGenerator();
-
-/// A packet lane's state on entering level L: ddaStart's distances, the
-/// steps left along each axis before the ray leaves `allowed` (as
-/// doubles, small exact integers, so the exit test is a vector compare;
-/// the scalar march's bounds check fails exactly when one goes
-/// negative), and the byte offset of the starting cell's record with the
+/// A packet lane's state on entering level L: the Amanatides-Woo
+/// distances (tMax to the next face and tDelta across one cell, per
+/// axis), the steps left along each axis before the ray leaves `allowed`
+/// (as doubles, small exact integers, so the exit test is a vector
+/// compare), and the byte offset of the starting cell's record with the
 /// pre-signed byte stride per axis (so a lane's gather index needs no
 /// per-crossing multiply).
 struct LaneSetup {
@@ -71,16 +59,36 @@ struct LaneSetup {
   std::int64_t stride[3];
 };
 
-/// The lane setup of a ray at \p pos heading \p dir on level \p L.
-/// Defined in rmcrt_core, which builds without floating-point
-/// contraction, so the reference is the same in every caller.
-LaneSetup laneSetup(const TraceLevel& L, const Vector& pos,
-                    const Vector& dir);
+struct PacketPass;  // ray_tracer_simd.cc
+struct PassRays;
 
-/// The lane setups of \p n rays on level \p L as the packet pass computes
-/// them, a register of rays at a time; laneSetup for each ray where
-/// Tracer::simdSupported() is false.
-void laneSetupsSimd(const TraceLevel& L, int n, const RaySoA& rays,
-                    LaneSetup* out);
+/// One instantiation of the packet pass.
+struct PacketKernel {
+  /// One level's pass over \p rays; Tracer::traceRays runs it level by
+  /// level.
+  void (*pass)(const PacketPass& pass, const PassRays& rays,
+               std::uint64_t& segments);
+  /// Rays [rBegin, rEnd) of \p cell, a cell of level \p g, written to
+  /// out[0 .. rEnd - rBegin): ray r draws from Rng(seed, cell, r), its
+  /// origin jittered over the cell (the draws go to z, y, x, in that
+  /// order) or at the cell center, and its direction isotropic. The one
+  /// ray generator of the divQ estimator. It runs one splitmix64 chain
+  /// per lane from the cell's hashed seed prefix; sin and cos are the
+  /// libm calls, one ray at a time. It may overwrite kRaySlack entries
+  /// past the last ray.
+  void (*generateRays)(const LevelGeom& g, bool jitter, std::uint64_t seed,
+                       const IntVector& cell, int rBegin, int rEnd,
+                       const RaySoA& out);
+  /// The lane setups of \p n rays on level \p L as the pass computes
+  /// them.
+  void (*laneSetups)(const TraceLevel& L, int n, const RaySoA& rays,
+                     LaneSetup* out);
+};
+
+/// The one dispatch point: the width-1 instantiation when \p useSimd is
+/// false or Tracer::simdSupported() is false, otherwise AVX-512 where
+/// the host has it and RMCRT_FORCE_AVX2 (read on every call) is unset,
+/// else AVX2.
+const PacketKernel& packetKernel(bool useSimd);
 
 }  // namespace rmcrt::core

@@ -8,7 +8,6 @@
 #include <string>
 #include <utility>
 
-#include "core/dda.h"
 #include "core/ray_setup.h"
 #include "util/metrics.h"
 #include "util/stats.h"
@@ -214,136 +213,18 @@ void packLevels(std::vector<TraceLevel>& levels,
   }
 }
 
-bool Tracer::marchLevel(std::size_t li, Vector& pos, const Vector& dir,
-                        double kappaScale, double& sumI,
-                        double& transmissivity,
-                        std::uint64_t& segments) const {
-  const TraceLevel& L = m_levels[li];
-  const LevelGeom& g = L.geom;
-
-  // Amanatides-Woo setup (shared with the packet march): distance along
-  // the ray to the next cell face in each axis (tMax) and per-cell
-  // crossing distances (tDelta). Everything the segment loop touches
-  // lives in small stack arrays (the compiler keeps the FP state in
-  // registers) rather than IntVector/Vector.
-  DdaStart s = ddaStart(L, pos, dir);
-  int* const cur = s.cell;
-  const int* const step = s.step;
-  double* const tMax = s.tMax;
-  const double* const tDelta = s.tDelta;
-  int lo[3], hi[3];
-  for (int i = 0; i < 3; ++i) {
-    lo[i] = L.allowed.low()[i];
-    hi[i] = L.allowed.high()[i];
-  }
-
-  // Incremental-stride DDA state: resolve the 3-D index once, then bump
-  // the record pointer by the pre-signed axis stride on each crossing.
-  const PackedFieldView& pf = L.packed;
-  const PackedCell* cell = &pf[IntVector(cur[0], cur[1], cur[2])];
-  std::int64_t stepOffset[3];
-  for (int i = 0; i < 3; ++i) stepOffset[i] = pf.stride(i) * step[i];
-
-  double tCur = 0.0;
-  const double threshold = m_cfg.threshold;
-
-  for (;;) {
-    const PackedCell& rec = *cell;
-    // A wall cell absorbs the ray: add its emission seen through the
-    // accumulated transmissivity. Wall-ness is baked into the record, so
-    // there is no per-segment field-validity branch.
-    if (rec.cellType == PackedCell::kWall) [[unlikely]] {
-      sumI += m_walls.emissivity * rec.sigmaT4OverPi * transmissivity;
-      return true;
-    }
-
-    // Branchless min-axis selection. The stepped axis is data-dependent
-    // and close to uniformly random, so the naive two-compare `if` chain
-    // mispredicts on most crossings — selecting via conditional moves
-    // costs a couple of cmovs instead of a ~15-cycle flush. The
-    // tie-breaking is x wins over y wins over z.
-    const double t0 = tMax[0], t1 = tMax[1], t2 = tMax[2];
-    const int yBeforeX = t1 < t0;
-    const double m01 = t1 < t0 ? t1 : t0;    // minsd
-    const int zFirst = t2 < m01;
-    const double tNext = t2 < m01 ? t2 : m01;  // minsd
-    // axis = zFirst ? 2 : yBeforeX, written as arithmetic so the
-    // compiler cannot re-materialize the compare as a branch.
-    const int axis = yBeforeX + ((2 - yBeforeX) & -zFirst);
-    const double segLen = tNext - tCur;
-
-    // Absorb + emit along the segment (paper Eq. 2 without scattering):
-    // one cache-line-local record load per crossing.
-    const double expSeg = std::exp(-(rec.abskg * kappaScale) * segLen);
-    sumI += rec.sigmaT4OverPi * (1.0 - expSeg) * transmissivity;
-    transmissivity *= expSeg;
-    // Zero-length crossings (the float-slop tMax clamp puts the first
-    // face at t=0 when a ray starts exactly on it; axis ties produce
-    // them mid-march at corners) contribute nothing — exp(0) is exactly
-    // 1 — so they must not count as marched segments or every Mseg/s
-    // figure inflates. Branchless: the FP work above already ran and is
-    // a bitwise no-op for segLen == 0.
-    segments += (segLen != 0.0);
-
-    if (transmissivity < threshold) return true;  // extinguished
-
-    // Advance to the next cell: tMax[axis] == tNext here.
-    tCur = tNext;
-    const int stepped = cur[axis] + step[axis];
-    cur[axis] = stepped;
-    tMax[axis] = tNext + tDelta[axis];
-
-    // Only the stepped axis can leave the allowed box, so test that one
-    // component instead of the full 3-axis containment check.
-    if (stepped < lo[axis] || stepped >= hi[axis]) [[unlikely]] {
-      const IntVector curV(cur[0], cur[1], cur[2]);
-      if (!g.cells.contains(curV)) {
-        // Left the physical domain: the boundary is a wall.
-        sumI += m_walls.emissivity * m_walls.sigmaT4OverPi * transmissivity;
-        return true;
-      }
-      // Left the region of interest but not the domain: continue on the
-      // next coarser level from the crossing position.
-      if (li + 1 >= m_levels.size()) {
-        sumI += m_walls.emissivity * m_walls.sigmaT4OverPi * transmissivity;
-        return true;
-      }
-      pos = pos + dir * tCur;
-      return false;
-    }
-    cell += stepOffset[axis];
-  }
-}
-
-double Tracer::traceRay(Vector origin, Vector dir, std::size_t startLevel,
-                        double kappaScale, std::uint64_t& segments) const {
-  double sumI = 0.0;
-  double transmissivity = 1.0;
-  Vector pos = origin;
-  for (std::size_t li = startLevel; li < m_levels.size(); ++li) {
-    if (marchLevel(li, pos, dir, kappaScale, sumI, transmissivity, segments))
-      break;
-  }
-  return sumI;
-}
-
-double Tracer::traceRay(Vector origin, Vector dir,
-                        std::size_t startLevel) const {
-  std::uint64_t segments = 0;
-  const double sumI = traceRay(origin, dir, startLevel, 1.0, segments);
-  flushSegments(segments);
-  return sumI;
+double Tracer::traceRay(Vector origin, Vector dir) const {
+  double out;
+  traceRays(1, &origin, &dir, &out);
+  return out;
 }
 
 void Tracer::traceRays(int n, const Vector* origins, const Vector* dirs,
-                       double kappaScale, double* out,
-                       std::uint64_t& segments) const {
-  if (!simdActive()) {
-    for (int i = 0; i < n; ++i)
-      out[i] = traceRay(origins[i], dirs[i], 0, kappaScale, segments);
-    return;
-  }
+                       double* out) const {
+  // The packet pass reads structure-of-arrays rays: copy them into the
+  // stream scratch a stream at a time.
   StreamScratch& s = StreamScratch::get(kStreamRays);
+  std::uint64_t segments = 0;
   for (int b = 0; b < n; b += kStreamRays) {
     const int m = std::min(kStreamRays, n - b);
     for (int i = 0; i < m; ++i)
@@ -351,26 +232,8 @@ void Tracer::traceRays(int n, const Vector* origins, const Vector* dirs,
         s.pos[a][static_cast<std::size_t>(i)] = origins[b + i][a];
         s.dir[a][static_cast<std::size_t>(i)] = dirs[b + i][a];
       }
-    traceRaysSimd(m, s.rays(), kappaScale, out + b, segments);
+    traceRays(m, s.rays(), 1.0, out + b, segments);
   }
-}
-
-void Tracer::traceRays(int n, const RaySoA& rays, double kappaScale,
-                       double* out, std::uint64_t& segments) const {
-  if (simdActive()) {
-    traceRaysSimd(n, rays, kappaScale, out, segments);
-    return;
-  }
-  for (int i = 0; i < n; ++i)
-    out[i] = traceRay(Vector(rays.pos[0][i], rays.pos[1][i], rays.pos[2][i]),
-                      Vector(rays.dir[0][i], rays.dir[1][i], rays.dir[2][i]),
-                      0, kappaScale, segments);
-}
-
-void Tracer::traceRays(int n, const Vector* origins, const Vector* dirs,
-                       double* out) const {
-  std::uint64_t segments = 0;
-  traceRays(n, origins, dirs, 1.0, out, segments);
   flushSegments(segments);
 }
 
@@ -392,58 +255,13 @@ Tracer::BandTrace Tracer::bandTrace(std::size_t b) const {
                    m_cfg.bands.at(b).kappaScale};
 }
 
-void generateRays(const LevelGeom& g, bool jitter, std::uint64_t seed,
-                  const IntVector& cell, int rBegin, int rEnd,
-                  const RaySoA& out) {
-  for (int r = rBegin; r < rEnd; ++r) {
-    Rng rng(seed, cell, static_cast<std::uint32_t>(r));
-    Vector origin;
-    if (jitter) {
-      const Vector lo = g.cellLowCorner(cell);
-      // z draws first: the order GCC evaluated the constructor arguments
-      // in when this was one Vector(draw, draw, draw) expression.
-      const double uz = rng.nextDouble();
-      const double uy = rng.nextDouble();
-      const double ux = rng.nextDouble();
-      origin = lo + Vector(ux, uy, uz) * g.dx;
-    } else {
-      origin = g.cellCenter(cell);
-    }
-    const Vector dir = isotropicDirection(rng);
-    const std::size_t i = static_cast<std::size_t>(r - rBegin);
-    for (int a = 0; a < 3; ++a) {
-      out.pos[a][i] = origin[a];
-      out.dir[a][i] = dir[a];
-    }
-  }
-}
-
-LaneSetup laneSetup(const TraceLevel& L, const Vector& pos,
-                    const Vector& dir) {
-  const DdaStart s = ddaStart(L, pos, dir);
-  const PackedFieldView& pf = L.packed;
-  LaneSetup ls;
-  for (int a = 0; a < 3; ++a) {
-    ls.tMax[a] = s.tMax[a];
-    ls.tDelta[a] = s.tDelta[a];
-    ls.cnt[a] = s.step[a] > 0 ? L.allowed.high()[a] - 1 - s.cell[a]
-                              : s.cell[a] - L.allowed.low()[a];
-    ls.stride[a] =
-        pf.laneStride(a, s.step[a]) * PackedFieldView::kRecordBytes;
-  }
-  ls.off = pf.offsetOf(IntVector(s.cell[0], s.cell[1], s.cell[2])) *
-           PackedFieldView::kRecordBytes;
-  return ls;
-}
-
 template <class RayRange, class Consume>
 void Tracer::traceTileRays(const CellRange& tile, const BandTrace& band,
                            RayRange rays, Consume consume,
                            std::uint64_t& segments) const {
   constexpr std::size_t cap = kStreamRays;
   StreamScratch& s = StreamScratch::get(cap);
-  const RayGenerator generate =
-      simdActive() ? simdRayGenerator() : generateRays;
+  const auto generate = packetKernel(m_cfg.useSimd).generateRays;
   const LevelGeom& g = m_levels.front().geom;
   std::size_t n = 0;
   const auto flush = [&] {
@@ -776,12 +594,10 @@ double Tracer::boundaryFlux(const IntVector& cell, const IntVector& face,
                                           v * (sinT * std::sin(phi)) +
                                           inward * cosT;
     }
-    std::uint64_t segments = 0;
     // The gray-mean field: scale 1 whatever the band model.
     traceRays(e - b, &origins[static_cast<std::size_t>(b)],
-              &dirs[static_cast<std::size_t>(b)], 1.0,
-              &intensity[static_cast<std::size_t>(b)], segments);
-    flushSegments(segments);
+              &dirs[static_cast<std::size_t>(b)],
+              &intensity[static_cast<std::size_t>(b)]);
   };
   if (chunks > 1)
     pool->parallelFor(0, chunks, traceChunk);

@@ -36,16 +36,6 @@ namespace rmcrt {
 class ThreadPool;
 }
 
-/// Whether this build carries the packet march at all (its `#pragma GCC
-/// target` regions keep the rest of the binary baseline-ISA, so carrying
-/// it never requires -mavx2).
-/// Runtime dispatch (Tracer::simdSupported) decides whether to call it.
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define RMCRT_SIMD_X86 1
-#else
-#define RMCRT_SIMD_X86 0
-#endif
-
 namespace rmcrt::core {
 
 struct RaySoA;  // core/ray_setup.h
@@ -138,18 +128,16 @@ struct TraceConfig {
   /// aggregation: one atomic add per tile, none in the march loop. The
   /// default keeps a tile's field data within L1/L2 reach.
   IntVector tileSize = IntVector(8, 8, 8);
-  /// March rays in lockstep packets, one vector lane per ray (the
-  /// packet march, DESIGN.md §14), when the host supports AVX2+FMA —
-  /// the default. Every divQ tile streams all of its (cell, ray) pairs
-  /// through the packet pass, and rays leaving a level's `allowed` box
-  /// continue on the next level in the same pass. The packet march uses
-  /// a vectorized exp, so it agrees with the scalar march (the
-  /// reference, kept on hosts without AVX2, under RMCRT_NO_SIMD=1 and
-  /// with this set false) within a documented ULP tolerance, not
-  /// bitwise. A ray's result does not depend on its stream, packet or
-  /// lane, and the AVX2 and AVX-512 instantiations agree bitwise, so
-  /// results are reproducible across thread counts, tilings and SIMD
-  /// hosts.
+  /// Run the packet pass (DESIGN.md §14) on vector registers — 8 rays
+  /// per AVX-512 register, 4 per AVX2 one — where the host supports
+  /// AVX2+FMA (the default); false, like hosts without AVX2 and
+  /// RMCRT_NO_SIMD=1, runs the pass's width-1 instantiation, one ray at
+  /// a time. Every divQ tile streams all of its (cell, ray) pairs
+  /// through the pass, and rays leaving a level's `allowed` box continue
+  /// on the next level in the same pass. All instantiations run the same
+  /// IEEE operations per ray, so this only changes speed: results are
+  /// bitwise identical either way, as they are across thread counts,
+  /// tilings and hosts.
   bool useSimd = true;
   /// Rays per boundaryFlux / radiometer query. Historically these fans
   /// inherited nDivQRays; wall heat-flux QoIs usually want a different
@@ -227,7 +215,7 @@ struct TraceLevel {
   /// Must lie within the property windows.
   CellRange allowed;
   /// Fused property records covering the same window as `fields` — what
-  /// both marches read. Leave invalid to have packLevels fuse them from
+  /// the march reads. Leave invalid to have packLevels fuse them from
   /// `fields`; supply one to share packing across Tracers — the adaptive
   /// pipeline's PackedLevelCache and the GPU level database.
   PackedFieldView packed;
@@ -266,41 +254,38 @@ class Tracer {
 
   const TraceConfig& config() const { return m_cfg; }
 
-  /// True when this build carries the AVX2 packet-march path and the
-  /// host CPU supports AVX2+FMA at runtime (CPUID). The environment
-  /// variable RMCRT_NO_SIMD=1 forces false — the CI fallback job uses it
-  /// to exercise the scalar dispatch on AVX2 hardware.
+  /// True when this build carries the AVX-512 and AVX2 instantiations of
+  /// the packet pass and the host CPU supports AVX2+FMA at runtime
+  /// (CPUID). The environment variable RMCRT_NO_SIMD=1 forces false —
+  /// the CI dispatch job uses it to run the width-1 instantiation on
+  /// AVX2 hardware.
   static bool simdSupported();
 
-  /// Name of the instruction set the packet march would use on this
-  /// host: "avx512" (AVX-512 F/DQ/VL/BW, 8 lanes per register), "avx2"
-  /// (4 lanes per register), or "none" when simdSupported() is false.
-  /// RMCRT_FORCE_AVX2=1 pins an AVX-512 host to the AVX2 instantiation
-  /// (the CI fallback matrix uses it); RMCRT_NO_SIMD=1 yields "none".
-  /// Recorded in the benchmark JSON so speedups compare like for like.
+  /// Name of the instruction set a useSimd tracer's packet pass uses on
+  /// this host: "avx512" (AVX-512 F/DQ/VL/BW, 8 lanes per register),
+  /// "avx2" (4 lanes per register), or "none" when simdSupported() is
+  /// false (the width-1 instantiation). RMCRT_FORCE_AVX2=1 pins an
+  /// AVX-512 host to the AVX2 instantiation (the CI dispatch matrix uses
+  /// it); RMCRT_NO_SIMD=1 yields "none". Recorded in the benchmark JSON
+  /// so speedups compare like for like.
   static const char* simdIsa();
-
-  /// True when traceRays will take the packet march: useSimd is set and
-  /// the host qualifies.
-  bool simdActive() const { return m_cfg.useSimd && simdSupported(); }
 
   /// The trace levels this tracer marches (read-only).
   const std::vector<TraceLevel>& levels() const { return m_levels; }
 
+  /// The domain walls rays take when they leave the last level.
+  const WallProperties& walls() const { return m_walls; }
+
   /// Trace one ray from physical position \p origin in direction \p dir
-  /// starting on level \p startLevel; returns the incoming intensity.
-  double traceRay(Vector origin, Vector dir, std::size_t startLevel = 0) const;
+  /// starting on level 0; returns the incoming intensity. A one-ray
+  /// traceRays.
+  double traceRay(Vector origin, Vector dir) const;
 
   /// Trace \p n independent rays (origins[i], dirs[i]) starting on level
-  /// 0, writing each ray's incoming intensity to out[i]. Dispatches to
-  /// the packet march when simdActive(); otherwise loops the scalar
-  /// march, in which case out[i] is bitwise identical to
-  /// traceRay(origins[i], dirs[i]). The packet march visits the exact
-  /// same cells per ray, on every level, but evaluates the per-segment
-  /// exp with a vectorized kernel, so intensities agree with the scalar
-  /// path within the documented ULP tolerance (DESIGN.md §14), not
-  /// bitwise. Either way out[i] depends on ray i alone — not on \p n,
-  /// the other rays, or the lane the ray lands in.
+  /// 0, writing each ray's incoming intensity to out[i], through the
+  /// packet pass instantiation packetKernel picks (DESIGN.md §14). Every
+  /// instantiation gives the same bits, and out[i] depends on ray i
+  /// alone — not on \p n, the other rays, or the lane the ray lands in.
   void traceRays(int n, const Vector* origins, const Vector* dirs,
                  double* out) const;
 
@@ -397,50 +382,21 @@ class Tracer {
   }
 
  private:
-  /// March within level \p li from physical position \p pos over its
-  /// packed records with an incremental-stride DDA, kappa scaled by \p
-  /// kappaScale; accumulates into sumI/transmissivity and counts cell
-  /// crossings into the caller's local \p segments; returns true if the
-  /// ray is finished (wall, threshold or domain exit), false if it left
-  /// `allowed` and should continue on level li+1 at the updated \p pos.
-  bool marchLevel(std::size_t li, Vector& pos, const Vector& dir,
-                  double kappaScale, double& sumI, double& transmissivity,
-                  std::uint64_t& segments) const;
-
   /// The single flush point for per-tile / per-call segment counts: adds
   /// \p n to both the tracer's own counter and the global metrics
   /// counter, so the two can never drift.
   void flushSegments(std::uint64_t n) const;
 
-  /// traceRay with a band's kappa scale and the segment count going to a
-  /// caller-owned local instead of the shared atomic.
-  double traceRay(Vector origin, Vector dir, std::size_t startLevel,
-                  double kappaScale, std::uint64_t& segments) const;
-
-  /// traceRays with a band's kappa scale and a caller-owned segment
-  /// counter. The packet march reads structure-of-arrays rays, so it
-  /// takes these a stream at a time through per-thread scratch.
-  void traceRays(int n, const Vector* origins, const Vector* dirs,
-                 double kappaScale, double* out,
-                 std::uint64_t& segments) const;
-
-  /// The single dispatch between the packet march and the scalar loop
-  /// (bitwise identical to traceRay per ray), over rays in
-  /// structure-of-arrays form.
+  /// The packet march (ray_tracer_simd.cc, DESIGN.md §14) with a band's
+  /// kappa scale and a caller-owned segment counter: one packet pass per
+  /// level, of the instantiation packetKernel(useSimd) picks. Level 0's
+  /// pass marches the given rays; each ray that leaves a level's
+  /// `allowed` box inside the domain goes into a handoff buffer with its
+  /// position, direction, intensity and transmissivity, and the next
+  /// level's pass marches that buffer from the carried state. Every
+  /// array of \p rays holds kRaySlack entries past the last ray.
   void traceRays(int n, const RaySoA& rays, double kappaScale, double* out,
                  std::uint64_t& segments) const;
-
-  /// The packet march (ray_tracer_simd.cc, DESIGN.md §14): one packet
-  /// pass per level. Level 0's pass marches the given rays; each ray
-  /// that leaves a level's `allowed` box inside the domain goes into a
-  /// handoff buffer with its position, direction, intensity and
-  /// transmissivity, and the next level's pass marches that buffer from
-  /// the carried state. Runtime dispatch picks the AVX-512 or AVX2
-  /// instantiation; both give bitwise-equal results. Callers must check
-  /// simdActive() first, and every array of \p rays holds kRaySlack
-  /// entries past the last ray.
-  void traceRaysSimd(int n, const RaySoA& rays, double kappaScale,
-                     double* out, std::uint64_t& segments) const;
 
   /// One band's march: the seed its rays draw from and its kappa scale.
   struct BandTrace {
@@ -452,13 +408,12 @@ class Tracer {
   BandTrace bandTrace(std::size_t b) const;
 
   /// Rays per stream: traceTileRays generates a tile's (cell, ray) pairs
-  /// (generateRays in core/ray_setup.h, in vector form when the packet
-  /// march runs) into per-thread scratch of this many rays and traces
-  /// each full stream with one traceRays call, and traceRaysSimd marches
-  /// longer calls this many rays at a time. Bounds the per-thread
-  /// scratch (64 bytes a ray, plus up to 144 for the two level handoff
-  /// buffers) whatever the tile or patch size; results do not depend on
-  /// it.
+  /// (PacketKernel::generateRays in core/ray_setup.h) into per-thread
+  /// scratch of this many rays and traces each full stream with one
+  /// traceRays call, and traceRays marches longer calls this many rays
+  /// at a time. Bounds the per-thread scratch (64 bytes a ray, plus up
+  /// to 144 for the two level handoff buffers) whatever the tile or
+  /// patch size; results do not depend on it.
   static constexpr int kStreamRays = 1024;
 
   /// The tile ray stream behind every divQ entry point. For the i-th

@@ -1,46 +1,43 @@
 /// \file ray_tracer_simd.cc
-/// The SIMD ray-packet march (DESIGN.md §14): rays march in lockstep
-/// through one level's packed records, one vector lane per ray — one
-/// *packet pass* per level. The pass (packet_pass.inc) is written once
-/// over a thin vector type V and compiled twice: for AVX-512 (8 lanes in
-/// a __m512d, lane masks in a __mmask8) and for AVX2 (4 lanes in a
-/// __m256d, lane masks as all-ones lanes of a __m256i, committed with
-/// blends). A lane retires in place when its ray hits a wall cell,
-/// extinguishes below TraceConfig::threshold or steps out of the
-/// level's `allowed` box; every retiring lane refills at once, with
-/// expand loads, from the pending rays' lane setups, which a SetupQueue
-/// computes a chunk ahead in vector form. A ray that leaves `allowed`
-/// inside the domain is compress-stored into a handoff buffer with its
-/// carried intensity and transmissivity, and the next level's pass
-/// marches the buffer. The divQ streams' rays are generated in vector
-/// form too (generateRayLanes), before the pass.
+/// The ray-packet march (DESIGN.md §14): rays march in lockstep through
+/// one level's packed records, one vector lane per ray — one *packet
+/// pass* per level. The pass (packet_pass.inc) is written once over a
+/// thin vector type V and compiled three times: for AVX-512 (8 lanes in
+/// a __m512d, lane masks in a __mmask8), for AVX2 (4 lanes in a __m256d,
+/// lane masks as all-ones lanes of a __m256i, committed with blends) and
+/// at width 1 (one lane in a double, a one-bit mask, baseline ISA). A
+/// lane retires in place when its ray hits a wall cell, extinguishes
+/// below TraceConfig::threshold or steps out of the level's `allowed`
+/// box; every retiring lane refills at once, with expand loads, from the
+/// pending rays' lane setups, which a SetupQueue computes a chunk ahead
+/// in vector form. A ray that leaves `allowed` inside the domain is
+/// compress-stored into a handoff buffer with its carried intensity and
+/// transmissivity, and the next level's pass marches the buffer. The
+/// divQ streams' rays are generated in vector form too
+/// (generateRayLanes), before the pass.
 ///
-/// Numerical contract: the ray generator and the DDA bookkeeping
-/// (ddaStart, min-axis tie-breaking, segment lengths, cell paths, the
-/// handoff position) perform the exact same IEEE operations per ray as
-/// generateRays and the scalar march (sin and cos stay libm's, one lane
-/// at a time), so every ray starts bitwise where the scalar one does and
-/// visits the bitwise-identical cell sequence with bitwise-identical
-/// segment lengths on every level (rmcrt_core builds with
-/// -ffp-contract=off so no mul+add becomes an FMA). The only divergence
-/// is the polynomial exp vs libm exp (≤ ~2 ulp per segment), which
-/// accumulates multiplicatively through the transmissivity — hence the
-/// documented ULP tolerance on per-ray intensities (DESIGN.md §14,
-/// simd_march_test) instead of bitwise equality. Both instantiations run
-/// the same IEEE operations per ray and agree bitwise with each other.
-/// The scalar march remains the golden reference.
+/// Numerical contract: every V op reproduces its intrinsic's exact IEEE
+/// semantics (NaN and signed zero included), and rmcrt_core builds with
+/// -ffp-contract=off so no mul+add becomes an FMA, so the three
+/// instantiations run the same IEEE operations per ray and agree
+/// bitwise: the same rays, cell paths, segment lengths, vector exp and
+/// results, on every level and through the handoff. sin and cos stay
+/// libm's, one lane at a time.
 ///
-/// Only the two instantiations sit inside `#pragma GCC target` regions
-/// (per-function target attributes do not reach lambdas); the rest of
-/// the binary is baseline ISA and Tracer::simdSupported() gates every
-/// call at runtime. RMCRT_FORCE_AVX2=1 pins an AVX-512 host to the AVX2
-/// instantiation so it stays testable on modern hardware.
+/// Only the AVX-512 and AVX2 instantiations sit inside `#pragma GCC
+/// target` regions (per-function target attributes do not reach
+/// lambdas); the rest of the binary, the width-1 pass included, is
+/// baseline ISA, and packetKernel gates every call to a vector
+/// instantiation at runtime. RMCRT_FORCE_AVX2=1 pins an AVX-512 host to
+/// the AVX2 instantiation so it stays testable on modern hardware.
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -54,15 +51,11 @@
 
 namespace rmcrt::core {
 
-#if RMCRT_SIMD_X86
-
 // For the helpers the packet loop calls on lane retirement and refill: a
 // call left in the loop makes GCC keep the packet state (all vector
 // registers are caller-saved) in memory across the whole loop, and -O2
 // leaves these calls in.
 #define RMCRT_ALWAYS_INLINE inline __attribute__((always_inline))
-
-namespace {
 
 /// A packet pass's input: n rays in structure-of-arrays form. Level 0's
 /// pass starts every ray fresh (null carried arrays: intensity 0,
@@ -78,12 +71,14 @@ struct PassRays {
   const std::int64_t* slot = nullptr;
 };
 
+namespace {
+
 /// The rays one level's pass hands to the next coarser level: each left
 /// the level's `allowed` box inside the domain at pos. A pass hands off
 /// at most its input, a stream of at most Tracer::kStreamRays rays, so
 /// the arrays have a fixed capacity; they are allocated once per thread
-/// and reused (see Tracer::traceRaysSimd), so steady-state passes
-/// allocate nothing.
+/// and reused (see Tracer::traceRays), so steady-state passes allocate
+/// nothing.
 struct Handoff {
   std::vector<double> pos[3], dir[3], sumI, trans;
   std::vector<std::int64_t> slot;
@@ -107,6 +102,8 @@ struct Handoff {
   }
 };
 
+}  // namespace
+
 /// One level's packet pass: the level, the constants of the march and
 /// where finished and handed-off rays go.
 struct PacketPass {
@@ -122,6 +119,8 @@ struct PacketPass {
   double* out = nullptr;
   Handoff* next = nullptr;
 };
+
+namespace {
 
 /// A chunk of lane setups (LaneSetup, one entry per ray) in
 /// structure-of-arrays form, so a register of rays is written with one
@@ -156,6 +155,122 @@ constexpr std::array<double, 14> kExpCoeff = [] {
   }
   return c;
 }();
+
+}  // namespace
+
+// Each vector type supplies what the ISAs spell differently: lane count,
+// broadcasts, loads and stores, compares into a lane mask, mask bits,
+// sel(m, a, b) (`m ? a : b` per lane), masked adds, gathers, the
+// scatter, expand loads and compress stores, the 64-bit lane multiply,
+// integer/double conversions the ray setup needs, the exp's rounding and
+// 2^n scale, and one lane's value. Arithmetic on D and I and the mask
+// logic (&, |, ~) are the types' own operators (GCC vector operators for
+// the vector types), written once in packet_pass.inc.
+
+namespace width1 {
+namespace {
+/// One lane in plain scalars. Each op reproduces the exact semantics of
+/// the intrinsic the vector types use for it, NaN and signed zero
+/// included, so this instantiation's results are bitwise the vector
+/// ones'.
+struct V {
+  using D = double;
+  using I = std::int64_t;  // sums and products wrap, through uint64_t
+  using M = unsigned;      // one bit, like a __mmask8
+  static constexpr int kLanes = 1;
+  static D set(double x) { return x; }
+  static I seti(std::int64_t x) { return x; }
+  static I iota() { return 0; }
+  static M fromBits(unsigned b) { return b; }
+  static unsigned bits(M m) { return m; }
+  static double lane(const D& v, int) { return v; }
+  static D load(const double* p) { return *p; }
+  static void store(double* p, D v) { *p = v; }
+  static void store(std::int64_t* p, I v) { *p = v; }
+  // Ordered compares are false on NaN; _CMP_NEQ_UQ is true on it, as !=.
+  static M lt(D a, D b) { return a < b; }
+  static M le(D a, D b) { return a <= b; }
+  static M ge(D a, D b) { return a >= b; }
+  static M eq(D a, D b) { return a == b; }
+  static M ne(D a, D b) { return a != b; }
+  static D sel(M m, D a, D b) { return m ? a : b; }
+  static I sel(M m, I a, I b) { return m ? a : b; }
+  static D addIf(M m, D a, D b) { return m ? a + b : a; }
+  static I addIf(M m, I a, I b) { return m ? add(a, b) : a; }
+  // minpd/maxpd return the second operand unless the compare holds, so
+  // on NaN and on ±0 pairs; std::min/std::max differ there.
+  static D min(D a, D b) { return a < b ? a : b; }
+  static D max(D a, D b) { return a > b ? a : b; }
+  static D abs(D x) { return std::fabs(x); }
+  static D sqrt(D x) { return std::sqrt(x); }
+  static D fma(D a, D b, D c) { return std::fma(a, b, c); }
+  static D fnma(D a, D b, D c) { return std::fma(-a, b, c); }
+  // Ties to even in the default rounding mode, as _MM_FROUND_TO_NEAREST_INT.
+  static D round(D x) { return std::nearbyint(x); }
+  static D floor(D x) { return std::floor(x); }
+  static I add(I a, I b) {
+    return static_cast<I>(static_cast<std::uint64_t>(a) +
+                          static_cast<std::uint64_t>(b));
+  }
+  static I mul64(I a, I b) {
+    return static_cast<I>(static_cast<std::uint64_t>(a) *
+                          static_cast<std::uint64_t>(b));
+  }
+  static I srl(I x, int n) {
+    return static_cast<I>(static_cast<std::uint64_t>(x) >> n);
+  }
+  static D u53ToDouble(I x) { return static_cast<double>(x); }
+  /// cvtpd2dq / cvtpd2qq: x rounded in the current rounding mode as an
+  /// integer of type T, or T's minimum (the "integer indefinite") when x
+  /// is NaN or the rounded value does not fit.
+  template <class T>
+  static std::int64_t cvt(D x) {
+    const double r = std::nearbyint(x);
+    constexpr double lim = -static_cast<double>(std::numeric_limits<T>::min());
+    return r >= -lim && r < lim ? static_cast<std::int64_t>(r)
+                                : std::numeric_limits<T>::min();
+  }
+  static I toInt64(D x) { return cvt<std::int64_t>(x); }
+  static I expand(M m, I old, I v) { return m ? v : old; }
+  static I expand(M m, I old, const std::int64_t* src) {
+    return m ? *src : old;
+  }
+  static D expand(M m, D old, const double* src) { return m ? *src : old; }
+  static void compress(double* dst, M, D v) { *dst = v; }
+  static void compress(std::int64_t* dst, M, I v) { *dst = v; }
+  /// 2^n from the exponent bits, as the vector forms build it: NaN and
+  /// ±inf convert to INT32_MIN, whose lanes expv discards afterwards.
+  static D pow2(D n) {
+    const std::uint64_t e = static_cast<std::uint64_t>(cvt<std::int32_t>(n));
+    return std::bit_cast<double>((e + 1023) << 52);
+  }
+  /// Lanes off the mask read nothing and give 0.0, as the vector
+  /// gathers do.
+  static D gather(M m, const double* base, I byteOff) {
+    double x = 0.0;
+    if (m)
+      std::memcpy(&x, reinterpret_cast<const unsigned char*>(base) + byteOff,
+                  sizeof x);
+    return x;
+  }
+  static M eq32(M m, const int* base, I byteOff, int v) {
+    int x = 0;
+    if (m)
+      std::memcpy(&x, reinterpret_cast<const unsigned char*>(base) + byteOff,
+                  sizeof x);
+    return m && x == v;
+  }
+  static void scatter(double* out, M m, I idx, D v) {
+    if (m) out[idx] = v;
+  }
+};
+#include "core/packet_pass.inc"
+}  // namespace
+}  // namespace width1
+
+#if RMCRT_SIMD_X86
+
+namespace {
 
 /// AVX-512 eligibility for the 8-lane instantiation (the subsets it
 /// uses), with RMCRT_FORCE_AVX2 as the escape hatch that keeps the AVX2
@@ -199,14 +314,6 @@ constexpr Perms4 kPerms4 = [] {
 
 }  // namespace
 
-// Each vector type supplies what the two ISAs spell differently: lane
-// count, broadcasts, loads and stores, compares into a lane mask, mask
-// bits, sel(m, a, b) (`m ? a : b` per lane), masked adds, gathers, the
-// scatter, expand loads and compress stores, the 64-bit lane multiply and
-// integer/double conversions the ray setup needs, and the exp's rounding
-// and 2^n scale. Arithmetic on D and I and the mask logic (&, |, ~) are
-// GCC vector operators, written once in packet_pass.inc.
-
 #pragma GCC push_options
 #pragma GCC target("avx2,fma")
 namespace avx2 {
@@ -226,6 +333,7 @@ struct V {
   static unsigned bits(M m) {
     return static_cast<unsigned>(_mm256_movemask_pd(_mm256_castsi256_pd(m)));
   }
+  static double lane(const D& v, int l) { return v[l]; }
   static D load(const double* p) { return _mm256_loadu_pd(p); }
   static I load(const std::int64_t* p) {
     return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
@@ -374,6 +482,7 @@ struct V {
   static I iota() { return _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0); }
   static M fromBits(unsigned b) { return static_cast<M>(b); }
   static unsigned bits(M m) { return m; }
+  static double lane(const D& v, int l) { return v[l]; }
   static D load(const double* p) { return _mm512_loadu_pd(p); }
   static void store(double* p, D v) { _mm512_storeu_pd(p, v); }
   static void store(std::int64_t* p, I v) { _mm512_storeu_si512(p, v); }
@@ -439,15 +548,30 @@ struct V {
 #pragma GCC diagnostic pop
 #pragma GCC pop_options
 
-void Tracer::traceRaysSimd(int n, const RaySoA& rays, double kappaScale,
-                           double* out, std::uint64_t& segments) const {
+#endif  // RMCRT_SIMD_X86
+
+const PacketKernel& packetKernel(bool useSimd) {
+  static constexpr PacketKernel width1Kernel{
+      width1::packetPass, width1::generateRayLanes, width1::laneSetups};
+#if RMCRT_SIMD_X86
+  static constexpr PacketKernel avx2Kernel{
+      avx2::packetPass, avx2::generateRayLanes, avx2::laneSetups};
+  static constexpr PacketKernel avx512Kernel{
+      avx512::packetPass, avx512::generateRayLanes, avx512::laneSetups};
+  if (useSimd && Tracer::simdSupported())
+    return avx512Usable() ? avx512Kernel : avx2Kernel;
+#endif
+  return width1Kernel;
+}
+
+void Tracer::traceRays(int n, const RaySoA& rays, double kappaScale,
+                       double* out, std::uint64_t& segments) const {
   // Two handoff buffers per thread, reused across calls: the pass over
   // level li reads the rays level li-1 handed off from one and fills the
   // other for level li+1.
   static thread_local Handoff buffers[2];
   for (Handoff& h : buffers) h.allocate(kStreamRays);
-  const auto passFn =
-      avx512Usable() ? avx512::packetPass : avx2::packetPass;
+  const auto passFn = packetKernel(m_cfg.useSimd).pass;
   PacketPass pass;
   pass.threshold = m_cfg.threshold;
   pass.kappaScale = kappaScale;
@@ -471,45 +595,10 @@ void Tracer::traceRaysSimd(int n, const RaySoA& rays, double kappaScale,
 }
 
 const char* Tracer::simdIsa() {
-  if (!simdSupported()) return "none";
-  return avx512Usable() ? "avx512" : "avx2";
-}
-
-#else  // !RMCRT_SIMD_X86
-
-void Tracer::traceRaysSimd(int n, const RaySoA& rays, double kappaScale,
-                           double* out, std::uint64_t& segments) const {
-  // Non-x86 build: simdSupported() is constant-false, so this is
-  // unreachable through the public dispatch, which then takes the scalar
-  // loop.
-  traceRays(n, rays, kappaScale, out, segments);
-}
-
-
-const char* Tracer::simdIsa() { return "none"; }
-
-#endif  // RMCRT_SIMD_X86
-
-RayGenerator simdRayGenerator() {
 #if RMCRT_SIMD_X86
-  if (Tracer::simdSupported())
-    return avx512Usable() ? avx512::generateRayLanes : avx2::generateRayLanes;
+  if (simdSupported()) return avx512Usable() ? "avx512" : "avx2";
 #endif
-  return generateRays;
-}
-
-void laneSetupsSimd(const TraceLevel& L, int n, const RaySoA& rays,
-                    LaneSetup* out) {
-#if RMCRT_SIMD_X86
-  if (Tracer::simdSupported()) {
-    (avx512Usable() ? avx512::laneSetups : avx2::laneSetups)(L, n, rays, out);
-    return;
-  }
-#endif
-  for (int i = 0; i < n; ++i)
-    out[i] = laneSetup(
-        L, Vector(rays.pos[0][i], rays.pos[1][i], rays.pos[2][i]),
-        Vector(rays.dir[0][i], rays.dir[1][i], rays.dir[2][i]));
+  return "none";
 }
 
 }  // namespace rmcrt::core

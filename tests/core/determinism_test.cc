@@ -14,6 +14,8 @@
 
 #include "core/problems.h"
 #include "core/rmcrt_component.h"
+#include "gpu/gpu_data_warehouse.h"
+#include "gpu/gpu_device.h"
 #include "grid/grid.h"
 #include "grid/load_balancer.h"
 #include "runtime/scheduler.h"
@@ -246,6 +248,57 @@ TEST(Determinism, ScheduledPipelineWithPoolMatchesSerialExactly) {
         ASSERT_EQ(divQ[c], serial[c]) << "patch " << pid << " cell " << c;
     }
   }
+}
+
+TEST(Determinism, GpuPipelineBitwiseAcrossPacketKernels) {
+  // The cross-ISA replay guarantee: the packet pass's vector
+  // instantiations and its width-1 one (useSimd false, as on a host
+  // without AVX2) give the 2-rank two-level GPU pipeline bitwise the same
+  // divQ, so a run recorded on one host class replays on any other.
+  auto grid = Grid::makeTwoLevel(Vector(0.0), Vector(1.0), IntVector(16),
+                                 IntVector(4), IntVector(8), IntVector(4));
+  const int fine = grid->numLevels() - 1;
+  const auto run = [&](bool useSimd) {
+    RmcrtSetup setup;
+    setup.problem = burnsChriston();
+    setup.trace.nDivQRays = 8;
+    setup.trace.seed = 41;
+    setup.trace.useSimd = useSimd;
+    setup.roiHalo = 3;
+    const int numRanks = 2;
+    auto lb = std::make_shared<grid::LoadBalancer>(*grid, numRanks);
+    comm::Communicator world(numRanks);
+    std::vector<std::unique_ptr<gpu::GpuDevice>> devices;
+    std::vector<std::unique_ptr<gpu::GpuDataWarehouse>> gdws;
+    std::vector<std::unique_ptr<runtime::Scheduler>> scheds;
+    for (int r = 0; r < numRanks; ++r) {
+      gpu::GpuDevice::Config dc;
+      dc.globalMemoryBytes = 256 << 20;
+      devices.push_back(std::make_unique<gpu::GpuDevice>(dc));
+      gdws.push_back(
+          std::make_unique<gpu::GpuDataWarehouse>(*devices.back()));
+      scheds.push_back(
+          std::make_unique<runtime::Scheduler>(grid, lb, world, r));
+    }
+    std::vector<std::thread> threads;
+    for (int r = 0; r < numRanks; ++r)
+      threads.emplace_back([&, r] {
+        RmcrtComponent::registerTwoLevelGpuPipeline(*scheds[r], setup,
+                                                    *gdws[r]);
+        scheds[r]->executeTimestep();
+      });
+    for (auto& t : threads) t.join();
+    CCVariable<double> divQ(grid->fineLevel().cells(), 0.0);
+    for (auto& s : scheds)
+      for (const int pid : s->loadBalancer().patchesOf(s->rank(), *grid,
+                                                       fine)) {
+        const auto& patch = s->newDW().get<double>(RmcrtLabels::divQ, pid);
+        for (const auto& c : grid->patchById(pid)->cells())
+          divQ[c] = patch[c];
+      }
+    return divQ;
+  };
+  expectBitwiseEqual(run(false), run(true));
 }
 
 TEST(BoundaryFlux, ColdWallLimitIsZero) {

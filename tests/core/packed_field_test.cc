@@ -173,7 +173,7 @@ struct TwoLevelFixture {
               .intersect(grid->fineLevel().cells());
   }
 
-  /// \p simd false pins the scalar march.
+  /// \p simd false pins the width-1 packet pass.
   Tracer tracer(bool simd = true) const {
     TraceLevel fineTL{LevelGeom::from(grid->fineLevel()),
                       RadiationFieldsView{FieldView<double>::fromHost(fAbs),
@@ -201,14 +201,14 @@ TEST(PackedVsLegacy, BoundaryFluxBitwiseIdentical) {
   // A boundary face of the ROI patch: rays sweep the inward hemisphere,
   // crossing fine cells, coarse cells, the wall block, and the far
   // domain boundary. The pooled fan (one chunk per worker) must reduce
-  // to exactly the serial flux on both marches.
+  // to exactly the serial flux on every packet kernel.
   const IntVector cell(0, 2, 2);
   const IntVector face(-1, 0, 0);
   for (const bool simd : {false, true}) {
     const Tracer tracer = fx.tracer(simd);
     EXPECT_EQ(tracer.boundaryFlux(cell, face, 64, &pool),
               tracer.boundaryFlux(cell, face, 64))
-        << (simd ? "packet march" : "scalar march");
+        << (simd ? "vector packet pass" : "width-1 packet pass");
   }
 }
 

@@ -1,20 +1,17 @@
-/// Equivalence harness for the SIMD packet march (ray_tracer_simd.cc,
-/// DESIGN.md §14) against the scalar packed march — the golden reference.
+/// Equivalence harness for the packet march (ray_tracer_simd.cc,
+/// DESIGN.md §14).
 ///
-/// The packet path performs the exact same DDA arithmetic as the scalar
-/// path (bitwise-identical cell sequences and segment lengths); the only
-/// divergence is the vectorized exp (≤ ~2 ulp per segment), which
+/// Its three instantiations (AVX-512, AVX2, width 1) run the same IEEE
+/// operations per ray, so they agree bitwise (RayStreams.*). Against the
+/// independent per-ray reference march (reference_march.h) the DDA
+/// arithmetic is the same too (bitwise-identical rays, lane setups, cell
+/// sequences and segment lengths); the only divergence is the pass's
+/// polynomial exp (≤ ~2 ulp per segment) against libm's, which
 /// accumulates multiplicatively through the transmissivity. Per-ray
-/// intensities therefore agree within a small ULP budget, not bitwise;
-/// these tests pin that budget (kUlpTolerance) across wall hits,
-/// extinction retirement, coarse-level handoff, degenerate directions,
-/// and partial packets.
-///
-/// On hosts without AVX2 (or with RMCRT_NO_SIMD set — the CI fallback
-/// job), simdActive() is false and every "SIMD" tracer here runs the
-/// scalar dispatch: the comparisons still run and must then hold
-/// bitwise, which exercises exactly the runtime-dispatch fallback the
-/// non-AVX2 CI job exists to cover.
+/// intensities therefore agree with the reference within a small ULP
+/// budget, not bitwise; these tests pin that budget (kUlpTolerance)
+/// across wall hits, extinction retirement, coarse-level handoff,
+/// degenerate directions, and partial packets.
 
 #include <gtest/gtest.h>
 
@@ -38,6 +35,8 @@
 #include "grid/operators.h"
 #include "runtime/scheduler.h"
 #include "util/thread_pool.h"
+
+#include "reference_march.h"
 
 namespace rmcrt::core {
 namespace {
@@ -112,8 +111,10 @@ struct SingleLevelSetup {
 
 /// Deterministic ray bundle spanning the direction sphere plus the
 /// degenerate cases: axis-aligned (two exactly-zero components, both
-/// signs of zero), axis-plane diagonals, the corner diagonal, and
-/// near-axis directions. Sized to leave a partial final packet.
+/// signs of zero), axis-plane diagonals, the corner diagonal,
+/// near-axis directions, and the zero vector (every face at infinity,
+/// so its one segment is infinitely long and the exp reduction runs on
+/// -inf). Sized to leave a partial final packet.
 void makeRayBundle(int n, std::vector<Vector>& origins,
                    std::vector<Vector>& dirs) {
   origins.clear();
@@ -127,6 +128,7 @@ void makeRayBundle(int n, std::vector<Vector>& origins,
       Vector(1.0, 1.0, 1.0) / std::sqrt(3.0),
       Vector(-1.0, -1.0, -1.0) / std::sqrt(3.0),
       Vector(1.0, 1e-14, -1e-14).normalized(),
+      Vector(0.0, 0.0, 0.0),
   };
   for (int i = 0; i < n; ++i) {
     Rng rng(/*seed=*/1234, IntVector(i, 2 * i, 3 * i),
@@ -142,18 +144,19 @@ void makeRayBundle(int n, std::vector<Vector>& origins,
   }
 }
 
-void expectBundleParity(const Tracer& simd, const Tracer& scalar, int n) {
+/// \p t's traceRays against the reference march over the same tracer.
+void expectBundleParity(const Tracer& t, int n) {
   std::vector<Vector> origins, dirs;
   makeRayBundle(n, origins, dirs);
-  std::vector<double> iSimd(static_cast<std::size_t>(n), -1.0);
-  std::vector<double> iScalar(static_cast<std::size_t>(n), -1.0);
-  simd.traceRays(n, origins.data(), dirs.data(), iSimd.data());
-  scalar.traceRays(n, origins.data(), dirs.data(), iScalar.data());
+  std::vector<double> iPacket(static_cast<std::size_t>(n), -1.0);
+  std::vector<double> iRef(static_cast<std::size_t>(n), -1.0);
+  t.traceRays(n, origins.data(), dirs.data(), iPacket.data());
+  ReferenceMarch(t).traceRays(n, origins.data(), dirs.data(), iRef.data());
   for (int i = 0; i < n; ++i) {
     const std::size_t s = static_cast<std::size_t>(i);
-    EXPECT_LE(ulpDistance(iSimd[s], iScalar[s]), kUlpTolerance)
-        << "ray " << i << " dir " << dirs[s] << ": simd " << iSimd[s]
-        << " vs scalar " << iScalar[s];
+    EXPECT_LE(ulpDistance(iPacket[s], iRef[s]), kUlpTolerance)
+        << "ray " << i << " dir " << dirs[s] << ": packet " << iPacket[s]
+        << " vs reference " << iRef[s];
   }
 }
 
@@ -185,21 +188,26 @@ class ScopedEnv {
   std::string m_old;
 };
 
-/// Runs \p body once per packet kernel: the native dispatch, then the
-/// AVX2 kernel pinned with RMCRT_FORCE_AVX2 (read on every call). On an
-/// AVX2-only host both runs take the AVX2 kernel; without AVX2 (or with
-/// RMCRT_NO_SIMD set) both take the scalar march.
+/// Runs \p body(useSimd) once per packet kernel: the native dispatch,
+/// the AVX2 kernel pinned with RMCRT_FORCE_AVX2 (read on every call),
+/// then the width-1 kernel (useSimd false). On an AVX2-only host the
+/// first two runs take the AVX2 kernel; without AVX2 (or with
+/// RMCRT_NO_SIMD set) all three take the width-1 kernel.
 template <class Body>
 void forEachPacketKernel(Body body) {
   {
     SCOPED_TRACE("native kernel");
     ScopedEnv native("RMCRT_FORCE_AVX2", nullptr);
-    body();
+    body(true);
   }
   {
     SCOPED_TRACE("AVX2 kernel");
     ScopedEnv avx2("RMCRT_FORCE_AVX2", "1");
-    body();
+    body(true);
+  }
+  {
+    SCOPED_TRACE("width-1 kernel");
+    body(false);
   }
 }
 
@@ -266,21 +274,20 @@ LevelStack twoLevelStack(const RadiationProblem& prob = burnsChriston()) {
 }
 
 TEST(SimdMarch, DispatchMatchesRuntimeSupport) {
-  SingleLevelSetup setup(burnsChriston(), IntVector(8));
-  const Tracer t = setup.makeTracer(/*simd=*/true);
-  EXPECT_EQ(t.simdActive(), Tracer::simdSupported());
-  const Tracer s = setup.makeTracer(/*simd=*/false);
-  EXPECT_FALSE(s.simdActive());
+  // useSimd = false always takes the width-1 instantiation; useSimd =
+  // true takes a vector one exactly when the host supports it.
+  const bool width1 = &packetKernel(true) == &packetKernel(false);
+  EXPECT_EQ(width1, !Tracer::simdSupported());
+  EXPECT_EQ(std::string(Tracer::simdIsa()) == "none",
+            !Tracer::simdSupported());
 }
 
 TEST(SimdMarch, BurnsChristonBundleWithinUlpTolerance) {
   // The benchmark medium: no interior walls, absorbing enough that rays
   // both extinguish (lane retirement mid-packet) and reach the walls.
   SingleLevelSetup setup(burnsChriston(), IntVector(16));
-  TraceConfig cfg;
-  const Tracer simd = setup.makeTracer(true, cfg);
-  const Tracer scalar = setup.makeTracer(false, cfg);
-  expectBundleParity(simd, scalar, 203);  // partial final packet (203 % 8 != 0)
+  // Partial final packet (203 % 8 != 0).
+  expectBundleParity(setup.makeTracer(true), 203);
 }
 
 TEST(SimdMarch, PartialPacketsAllSizes) {
@@ -289,10 +296,9 @@ TEST(SimdMarch, PartialPacketsAllSizes) {
   // of 8), and each ray's result must be independent of bundle size.
   SingleLevelSetup setup(burnsChriston(), IntVector(8));
   const Tracer simd = setup.makeTracer(true);
-  const Tracer scalar = setup.makeTracer(false);
   for (int n = 1; n <= 19; ++n) {
     SCOPED_TRACE("bundle size " + std::to_string(n));
-    expectBundleParity(simd, scalar, n);
+    expectBundleParity(simd, n);
   }
 }
 
@@ -302,8 +308,7 @@ TEST(SimdMarch, WallHeavyMediumRetiresLanesOnWalls) {
   SingleLevelSetup setup(uniformMedium(0.05, 1.0), IntVector(16));
   TraceConfig cfg;
   cfg.threshold = 1e-10;
-  expectBundleParity(setup.makeTracer(true, cfg),
-                     setup.makeTracer(false, cfg), 100);
+  expectBundleParity(setup.makeTracer(true, cfg), 100);
 }
 
 TEST(SimdMarch, InteriorWallCellsRetireLanes) {
@@ -315,15 +320,14 @@ TEST(SimdMarch, InteriorWallCellsRetireLanes) {
   TraceConfig cfg;
   cfg.threshold = 1e-10;
   const Tracer simd = setup.makeTracer(true, cfg);
-  const Tracer scalar = setup.makeTracer(false, cfg);
-  expectBundleParity(simd, scalar, 100);
+  expectBundleParity(simd, 100);
   // The slab must actually absorb: a +x ray from its doorstep sees the
-  // wall emission immediately (identical in both paths up to ulps).
+  // wall emission immediately (identical in both marches up to ulps).
   const Vector o(10.5 / 16.0, 0.53, 0.51), d(1.0, 0.0, 0.0);
-  double is = -1.0, ir = -1.0;
+  double is = -1.0;
   simd.traceRays(1, &o, &d, &is);
-  scalar.traceRays(1, &o, &d, &ir);
-  EXPECT_LE(ulpDistance(is, ir), kUlpTolerance);
+  EXPECT_LE(ulpDistance(is, ReferenceMarch(simd).traceRay(o, d)),
+            kUlpTolerance);
   EXPECT_GT(is, 0.0);
 }
 
@@ -331,7 +335,7 @@ TEST(SimdMarch, HighExtinctionRetiresLanesEarly) {
   // Optically thick medium: every lane retires by the transmissivity
   // threshold within a few segments, churning the refill queue hard.
   SingleLevelSetup setup(uniformMedium(60.0, 1.0), IntVector(16));
-  expectBundleParity(setup.makeTracer(true), setup.makeTracer(false), 64);
+  expectBundleParity(setup.makeTracer(true), 64);
 }
 
 TEST(SimdMarch, MeanIntensityAndDivQParity) {
@@ -342,57 +346,55 @@ TEST(SimdMarch, MeanIntensityAndDivQParity) {
   cfg.nDivQRays = 48;
   cfg.seed = 11;
   const Tracer simd = setup.makeTracer(true, cfg);
-  const Tracer scalar = setup.makeTracer(false, cfg);
+  ReferenceMarch ref(simd);
   for (const IntVector& c :
        {IntVector(0, 0, 0), IntVector(8, 8, 8), IntVector(15, 3, 9)}) {
     const double a = simd.meanIncomingIntensity(c);
-    const double b = scalar.meanIncomingIntensity(c);
+    const double b = ref.meanIncomingIntensity(c);
     EXPECT_LE(ulpDistance(a, b), kUlpTolerance) << "cell " << c;
   }
   CCVariable<double> dqSimd(setup.grid->fineLevel().cells(), 0.0);
-  CCVariable<double> dqScalar(setup.grid->fineLevel().cells(), 0.0);
   const CellRange probe(IntVector(4, 4, 4), IntVector(8, 8, 8));
   simd.computeDivQ(probe, MutableFieldView<double>::fromHost(dqSimd));
-  scalar.computeDivQ(probe, MutableFieldView<double>::fromHost(dqScalar));
   for (const auto& c : probe) {
     // divQ differences pick up cancellation in (sigmaT4/pi - meanI), so
     // bound relative-to-magnitude rather than raw ulps.
-    const double scale = std::max(
-        {std::abs(dqSimd[c]), std::abs(dqScalar[c]), 1e-12});
-    EXPECT_LE(std::abs(dqSimd[c] - dqScalar[c]) / scale, 1e-10)
-        << "cell " << c;
+    const double want = ref.divQ(c);
+    const double scale =
+        std::max({std::abs(dqSimd[c]), std::abs(want), 1e-12});
+    EXPECT_LE(std::abs(dqSimd[c] - want) / scale, 1e-10) << "cell " << c;
   }
 }
 
 TEST(SimdMarch, SegmentCountsAgreeWithScalar) {
-  // Ray geometry is bitwise identical between paths, so segment counts
-  // can differ only where the exp divergence flips a ray's extinction
-  // test on the exact threshold-straddling segment. Allow one segment of
-  // slack per ray; with walls and moderate absorption that slack is
-  // almost never consumed.
+  // Ray geometry is bitwise identical to the reference march's, so
+  // segment counts can differ only where the exp divergence flips a
+  // ray's extinction test on the exact threshold-straddling segment.
+  // Allow one segment of slack per ray; with walls and moderate
+  // absorption that slack is almost never consumed.
   SingleLevelSetup setup(burnsChriston(), IntVector(16));
   Tracer simd = setup.makeTracer(true);
-  Tracer scalar = setup.makeTracer(false);
+  ReferenceMarch ref(simd);
   std::vector<Vector> origins, dirs;
   const int n = 128;
   makeRayBundle(n, origins, dirs);
   std::vector<double> out(static_cast<std::size_t>(n));
   simd.traceRays(n, origins.data(), dirs.data(), out.data());
-  scalar.traceRays(n, origins.data(), dirs.data(), out.data());
+  ref.traceRays(n, origins.data(), dirs.data(), out.data());
   const auto a = static_cast<std::int64_t>(simd.segmentCount());
-  const auto b = static_cast<std::int64_t>(scalar.segmentCount());
+  const auto b = static_cast<std::int64_t>(ref.segmentCount());
   EXPECT_LE(std::abs(a - b), n);
   EXPECT_GT(a, 0);
 
   // Two levels with ROI exits: the handoff position and the coarse DDA
-  // are the scalar march's, operation for operation, so the counts must
-  // agree exactly on both kernels. (A handoff position rounded by an FMA
-  // lands next to the coarse face instead of on it, and the ray counts a
-  // sliver of a crossing the scalar march skips as zero-length.)
+  // are the reference march's, operation for operation, so the counts
+  // must agree exactly on every kernel. (A handoff position rounded by
+  // an FMA lands next to the coarse face instead of on it, and the ray
+  // counts a sliver of a crossing the reference skips as zero-length.)
   const LevelStack stack = twoLevelStack();
-  forEachPacketKernel([&] {
-    Tracer simd2 = stack.makeTracer(true);
-    Tracer scalar2 = stack.makeTracer(false);
+  forEachPacketKernel([&](bool useSimd) {
+    Tracer simd2 = stack.makeTracer(useSimd);
+    ReferenceMarch ref2(simd2);
     std::vector<Vector> o2, d2;
     const int n2 = 2000;
     makeRayBundle(n2, o2, d2);
@@ -400,15 +402,15 @@ TEST(SimdMarch, SegmentCountsAgreeWithScalar) {
       o = Vector(0.25) + (o - Vector(0.05)) * (0.5 / 0.9);
     std::vector<double> out2(static_cast<std::size_t>(n2));
     simd2.traceRays(n2, o2.data(), d2.data(), out2.data());
-    scalar2.traceRays(n2, o2.data(), d2.data(), out2.data());
-    EXPECT_EQ(simd2.segmentCount(), scalar2.segmentCount());
+    ref2.traceRays(n2, o2.data(), d2.data(), out2.data());
+    EXPECT_EQ(simd2.segmentCount(), ref2.segmentCount());
   });
 }
 
 TEST(SimdMarch, TwoLevelHandoffParity) {
   // Fine ROI + coarse continuation: rays leaving the fine allowed box go
   // into the handoff buffer and finish in the coarse level's packet pass
-  // — intensities must still match the all-scalar result within the ULP
+  // — intensities must still match the reference march within the ULP
   // budget, and the marching work must match exactly. The three-level
   // stack hands rays off twice (fine ROI -> mid-level ROI -> coarse). The
   // corner ROI shares the domain's high faces, so rays also leave the
@@ -429,22 +431,22 @@ TEST(SimdMarch, TwoLevelHandoffParity) {
     cfg.nDivQRays = 32;
     cfg.seed = 5;
     const Tracer simd = stack->makeTracer(true, cfg);
-    const Tracer scalar = stack->makeTracer(false, cfg);
+    ReferenceMarch ref(simd);
     for (const IntVector& c :
          {IntVector(8, 8, 8), IntVector(6, 9, 10), IntVector(10, 5, 7),
           IntVector(14, 15, 13)}) {
       const double a = simd.meanIncomingIntensity(c);
-      const double b = scalar.meanIncomingIntensity(c);
+      const double b = ref.meanIncomingIntensity(c);
       EXPECT_LE(ulpDistance(a, b), kUlpTolerance) << "cell " << c;
     }
-    EXPECT_EQ(simd.segmentCount(), scalar.segmentCount());
+    EXPECT_EQ(simd.segmentCount(), ref.segmentCount());
   }
 }
 
 // ---------------------------------------------------------------------
 // Ray-stream invariance (DESIGN.md §14): a ray's result depends on the
 // ray alone — not on the stream, packet or lane it lands in, the tile it
-// belongs to, the thread that traces it, or the packet kernel's ISA — so
+// belongs to, the thread that traces it, or the packet kernel — so
 // divQ is bitwise identical across all of those. The fixture puts wall
 // cells on both levels, so wall retirement and the coarse handoff both
 // run inside the packet passes.
@@ -549,10 +551,10 @@ TEST(RayStreams, DivQBitwiseAcrossStreamsTilesAndThreads) {
 }
 
 TEST(RayStreams, PacketKernelsAgreeBitwise) {
-  // The AVX2 (4-lane) and AVX-512 (8-lane) instantiations of the packet
-  // pass perform the same IEEE operations per ray, with FP contraction
-  // off, so their results are bitwise equal — on every level and through
-  // the handoff.
+  // The AVX-512 (8-lane), AVX2 (4-lane) and width-1 instantiations of the
+  // packet pass perform the same IEEE operations per ray, with FP
+  // contraction off, so their results are bitwise equal — on every level
+  // and through the handoff.
   const LevelStack stack = walledTwoLevelStack();
   const CellRange patch(IntVector(0), IntVector(8));
   TraceConfig cfg;
@@ -563,8 +565,8 @@ TEST(RayStreams, PacketKernelsAgreeBitwise) {
   std::vector<CCVariable<double>> divQ;
   std::vector<std::vector<double>> bundles;
   std::vector<std::uint64_t> segments;
-  forEachPacketKernel([&] {
-    const Tracer t = stack.makeTracer(true, cfg);
+  forEachPacketKernel([&](bool useSimd) {
+    const Tracer t = stack.makeTracer(useSimd, cfg);
     divQ.emplace_back(patch, 0.0);
     t.computeDivQ(patch, MutableFieldView<double>::fromHost(divQ.back()));
     bundles.emplace_back(origins.size());
@@ -572,11 +574,14 @@ TEST(RayStreams, PacketKernelsAgreeBitwise) {
                 dirs.data(), bundles.back().data());
     segments.push_back(t.segmentCount());
   });
-  ASSERT_EQ(divQ.size(), 2u);
-  expectSameDivQ(divQ[1], divQ[0]);
-  for (std::size_t i = 0; i < origins.size(); ++i)
-    EXPECT_TRUE(sameBits(bundles[1][i], bundles[0][i])) << "ray " << i;
-  EXPECT_EQ(segments[1], segments[0]);
+  ASSERT_EQ(divQ.size(), 3u);
+  for (std::size_t k = 1; k < divQ.size(); ++k) {
+    SCOPED_TRACE("kernel " + std::to_string(k) + " vs native");
+    expectSameDivQ(divQ[k], divQ[0]);
+    for (std::size_t i = 0; i < origins.size(); ++i)
+      EXPECT_TRUE(sameBits(bundles[k][i], bundles[0][i])) << "ray " << i;
+    EXPECT_EQ(segments[k], segments[0]);
+  }
 }
 
 TEST(RayStreams, GpuPipelineMatchesSerialBitwiseWithWalls) {
@@ -631,27 +636,30 @@ TEST(RayStreams, GpuPipelineMatchesSerialBitwiseWithWalls) {
 }
 
 TEST(SimdMarch, ScalarPathUnchangedByDispatchMachinery) {
-  // The golden-reference guarantee: a useSimd=false tracer must produce
-  // bitwise-identical results through traceRays and traceRay — the
-  // packet-path plumbing cannot perturb the scalar march.
+  // traceRay is a one-ray traceRays: whichever kernel runs, a ray traced
+  // alone gives the bits it gets in a bundle.
   SingleLevelSetup setup(burnsChriston(), IntVector(8));
-  const Tracer t = setup.makeTracer(false);
-  std::vector<Vector> origins, dirs;
-  makeRayBundle(32, origins, dirs);
-  std::vector<double> bundle(32);
-  t.traceRays(32, origins.data(), dirs.data(), bundle.data());
-  for (int i = 0; i < 32; ++i) {
-    const std::size_t s = static_cast<std::size_t>(i);
-    EXPECT_EQ(bundle[s], t.traceRay(origins[s], dirs[s])) << "ray " << i;
+  for (const bool useSimd : {true, false}) {
+    SCOPED_TRACE(useSimd ? "useSimd" : "width 1");
+    const Tracer t = setup.makeTracer(useSimd);
+    std::vector<Vector> origins, dirs;
+    makeRayBundle(32, origins, dirs);
+    std::vector<double> bundle(32);
+    t.traceRays(32, origins.data(), dirs.data(), bundle.data());
+    for (int i = 0; i < 32; ++i) {
+      const std::size_t s = static_cast<std::size_t>(i);
+      EXPECT_TRUE(sameBits(bundle[s], t.traceRay(origins[s], dirs[s])))
+          << "ray " << i;
+    }
   }
 }
 
 // ---------------------------------------------------------------------
 // Vector ray setup (DESIGN.md §14): the packet pass generates its rays
-// and starts their DDA in vector form. Both must equal the scalar pieces
-// (generateRays, ddaStart through laneSetup) bitwise, in every dispatch
-// mode; the march's results then differ from the scalar march's by the
-// exp alone.
+// and starts their DDA in vector form. Both must equal the reference's
+// scalar pieces (generateRays, laneSetup) bitwise, in every kernel; the
+// march's results then differ from the reference march's by the exp
+// alone.
 
 /// Rays in structure-of-arrays form over owned arrays, with the slack
 /// the vector forms read and write past the last ray.
@@ -695,8 +703,8 @@ TEST(VectorRaySetup, GeneratorMatchesScalarBitwise) {
                              IntVector(5, -7, 11),
                              IntVector(1 << 21, 3, (1 << 21) + 5),
                              IntVector(-(1 << 21), 1 << 22, -1)};
-  forEachPacketKernel([&] {
-    const RayGenerator simd = simdRayGenerator();
+  forEachPacketKernel([&](bool useSimd) {
+    const auto simd = packetKernel(useSimd).generateRays;
     for (const bool jitter : {true, false})
       for (const std::uint64_t seed : {0ull, 21ull, 0xFFFFFFFFFFFFFFFFull})
         for (const IntVector& c : cells) {
@@ -722,13 +730,14 @@ TEST(VectorRaySetup, GeneratorMatchesScalarBitwise) {
 TEST(VectorRaySetup, StreamStraddlingCellsAndStreamsMatchesScalar) {
   // The tile stream's loop with a small stream: cells' fans split across
   // stream ends and start mid-register, so every call overwrites the
-  // previous call's slack. Each stream must hold exactly the scalar rays.
+  // previous call's slack. Each stream must hold exactly the reference
+  // rays.
   const LevelGeom g{Vector(0.0), Vector(1.0 / 16), CellRange(IntVector(0),
                                                             IntVector(16))};
   const std::size_t cap = 37;
   const int fan = 11;
-  forEachPacketKernel([&] {
-    const RayGenerator simd = simdRayGenerator();
+  forEachPacketKernel([&](bool useSimd) {
+    const auto simd = packetKernel(useSimd).generateRays;
     SoaRays a(cap), b(cap);
     std::size_t n = 0;
     int streams = 0;
@@ -831,11 +840,11 @@ TEST(VectorRaySetup, LaneSetupsMatchDdaStartBitwise) {
   for (std::size_t i = 0; i < pos.size(); ++i) rays.set(i, pos[i], dir[i]);
   const TraceLevel* levels[] = {&tracer.levels()[0], &tracer.levels()[1],
                                 &tracer24.levels()[0]};
-  forEachPacketKernel([&] {
+  forEachPacketKernel([&](bool useSimd) {
     for (const TraceLevel* L : levels) {
       SCOPED_TRACE(std::to_string(L->geom.cells.high().x()) + "^3 level");
       std::vector<LaneSetup> v(pos.size());
-      laneSetupsSimd(*L, n, rays.view(), v.data());
+      packetKernel(useSimd).laneSetups(*L, n, rays.view(), v.data());
       for (int i = 0; i < n; ++i) {
         const std::size_t s = static_cast<std::size_t>(i);
         expectSameSetups(v[s], laneSetup(*L, pos[s], dir[s]), i);
@@ -849,25 +858,23 @@ TEST(VectorRaySetup, LanesRetiringTogetherAndPartialLastChunk) {
   // every lane at once, and the counts leave a partial last setup chunk
   // and a partial last packet. Each ray must give the single ray's result
   // bitwise, whichever lane and chunk it lands in, and within the ULP
-  // budget of the scalar march.
+  // budget of the reference march.
   const LevelStack stack = twoLevelStack();
   const SingleLevelSetup single(burnsChriston(), IntVector(16));
   const Vector o(0.5 + 1.0 / 32, 0.5, 0.47);
   const Vector exits[] = {Vector(1.0, 0.2, 0.1).normalized(),
                           Vector(-0.3, 1.0, -0.2).normalized(),
                           Vector(0.0, 0.0, -1.0)};
-  forEachPacketKernel([&] {
+  forEachPacketKernel([&](bool useSimd) {
     for (const bool twoLevel : {true, false}) {
       Tracer simd =
-          twoLevel ? stack.makeTracer(true) : single.makeTracer(true);
-      Tracer scalar =
-          twoLevel ? stack.makeTracer(false) : single.makeTracer(false);
+          twoLevel ? stack.makeTracer(useSimd) : single.makeTracer(useSimd);
       for (const Vector& d : exits) {
         double one = 0.0;
         simd.traceRays(1, &o, &d, &one);
-        scalar.resetSegmentCount();
-        EXPECT_LE(ulpDistance(one, scalar.traceRay(o, d)), kUlpTolerance);
-        const std::uint64_t raySegments = scalar.segmentCount();
+        ReferenceMarch ref(simd);
+        EXPECT_LE(ulpDistance(one, ref.traceRay(o, d)), kUlpTolerance);
+        const std::uint64_t raySegments = ref.segmentCount();
         for (const int n : {3 * 128 + 5, 13, 8}) {
           SCOPED_TRACE(std::to_string(n) + " rays, " +
                        (twoLevel ? "two levels" : "one level"));
